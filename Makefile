@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-heap test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-fast bench-kernel bench-gate bench-pdes pdes-gate ci-local examples results clean
+.PHONY: install test test-fast test-heap test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-kernel bench-gate bench-pdes pdes-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -77,14 +77,12 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/serve_smoke.py \
 		--out-dir serve-smoke-out
 
+# Benchmark grids: cells fan out over REPRO_JOBS (default: all CPUs)
+# worker processes and the result store (REPRO_CATALOG) is enabled, so a
+# warm re-run only recomputes changed cells.  The kernel-micro table
+# includes the heap-vs-calendar queue A/B rows.
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Benchmark grids with process fan-out across all CPUs and the on-disk
-# result cache enabled: a warm re-run only recomputes changed cells.
-# The kernel-micro table includes the heap-vs-calendar queue A/B rows.
-bench-fast:
-	BENCH_JOBS=$(NPROC) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Standalone kernel microbench; prints both event-queue variants and
 # rewrites benchmarks/results/BENCH_kernel.json.
@@ -135,6 +133,6 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
 
 clean:
-	rm -rf .pytest_cache .benchmarks .bench_cache soak-out serve-smoke-out \
-		.service_catalog src/repro.egg-info
+	rm -rf .pytest_cache .benchmarks .repro_catalog soak-out serve-smoke-out \
+		src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

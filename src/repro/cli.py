@@ -595,20 +595,21 @@ def cmd_catalog(args) -> int:
     """Inspect a result catalog on disk (no coordinator needed)."""
     import json
 
-    from repro.service import ResultCatalog
+    from repro.runner.store import ResultCatalog
 
     catalog = ResultCatalog(args.catalog)
     if args.action == "list":
         rows = []
         for record in catalog.records():
             prov = record.provenance
-            sub = record.submission
+            # Cells catalogued by run_experiments carry no submission.
+            sub = record.submission or {}
             rows.append(
                 [
                     record.fingerprint[:16],
-                    sub.get("tenant", "?"),
+                    sub.get("tenant", "-"),
                     sub.get("label", "") or "-",
-                    len(sub.get("jobs", [])),
+                    len(record.result.get("jobs", [])),
                     f"{record.result.get('makespan_s', 0.0):.3f}",
                     f"{prov.get('wall_time_s', 0.0):.2f}",
                     prov.get("attempts", "?"),
@@ -766,7 +767,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--no-cache",
         action="store_true",
-        help="recompute every cell instead of reading .bench_cache/",
+        help="recompute every cell instead of reading the result store",
     )
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -872,7 +873,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--catalog",
         default=None,
         metavar="DIR",
-        help="catalog root (default: REPRO_SERVICE_CATALOG or .service_catalog)",
+        help="catalog root (default: REPRO_CATALOG or .repro_catalog)",
     )
     p_srv.add_argument(
         "--tenant-cap-mb",
@@ -938,7 +939,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--catalog",
         default=None,
         metavar="DIR",
-        help="catalog root (default: REPRO_SERVICE_CATALOG or .service_catalog)",
+        help="catalog root (default: REPRO_CATALOG or .repro_catalog)",
     )
     p_cat.set_defaults(func=cmd_catalog)
 

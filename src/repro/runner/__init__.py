@@ -6,6 +6,9 @@
 - :mod:`repro.runner.experiment` -- :func:`run_experiment` builds a
   cluster, pre-creates files, launches jobs (optionally staggered), runs
   the simulation, and returns per-job and system-level measurements.
+- :mod:`repro.runner.parallel` -- :func:`run_experiments` fans cells over
+  the :mod:`~repro.runner.pool` worker pool, memoised in the
+  :mod:`~repro.runner.store` result store (both shared with the service).
 - :mod:`repro.runner.results` -- plain-text table rendering for bench
   output.
 - :mod:`repro.runner.calibrate` -- compute-time calibration to hit a

@@ -1,4 +1,4 @@
-"""Parallel experiment fan-out with deterministic on-disk result caching.
+"""Parallel experiment fan-out over the result store and the worker pool.
 
 The benchmark grids run dozens of *independent* ``run_experiment`` cells:
 each cell builds its own :class:`~repro.sim.core.Simulator`, so no state
@@ -11,26 +11,25 @@ result.  This module provides:
   :class:`~repro.runner.experiment.ExperimentResult` the benches consume
   (per-job measurements plus a few cluster/DualPar summaries);
 - :func:`run_experiments` -- evaluate many cells, fanning out over a
-  process pool and memoising each cell on disk under ``.bench_cache/``
-  keyed by a fingerprint of (workloads, cluster spec, strategy, config,
-  code version).  Re-running a sweep only recomputes changed cells.
+  :class:`~repro.runner.pool.WorkerPool` and memoising each cell as a
+  record of the :class:`~repro.runner.store.ResultCatalog` keyed by a
+  fingerprint of (workloads, cluster spec, strategy, config, code
+  version).  Re-running a sweep only recomputes changed cells.
 
 Environment knobs::
 
-    REPRO_BENCH_CACHE     cache directory (default ``.bench_cache``)
-    REPRO_NO_BENCH_CACHE  set to disable the cache entirely
-    REPRO_JOBS            default worker count (default: cpu count)
+    REPRO_CATALOG   result store directory (default ``.repro_catalog``)
+    REPRO_JOBS      default worker count (default: cpu count)
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import os
-import pickle
-import tempfile
-import traceback
-from concurrent.futures import ProcessPoolExecutor
+import queue
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -50,22 +49,17 @@ __all__ = [
     "ExperimentSpec",
     "SlimExperimentResult",
     "WorkerCellError",
-    "clear_cache",
-    "default_cache_dir",
     "experiment_fingerprint",
     "run_experiments",
 ]
 
 
 class WorkerCellError(RuntimeError):
-    """An experiment cell raised inside a pool worker.
+    """An experiment cell failed inside a pool worker.
 
-    A bare exception re-raised across the process boundary loses its
-    child traceback (pickling keeps the instance, not the stack), which
-    used to surface a failed cell as an opaque one-liner with only
-    parent-side frames.  This wrapper captures ``traceback.format_exc()``
-    in the worker and carries the text home, so the parent-side error
-    names the failing cell and shows exactly where in the child it died.
+    The worker sends home ``traceback.format_exc()`` (or why it died),
+    so the error names the failing cell and shows exactly where in the
+    child it failed, not only parent-side frames.
     """
 
     def __init__(self, label: str, traceback_text: str) -> None:
@@ -75,12 +69,6 @@ class WorkerCellError(RuntimeError):
             f"experiment cell {label or '<unlabelled>'!r} failed in worker:\n"
             f"{traceback_text}"
         )
-
-    def __reduce__(self):
-        # Multi-arg exceptions need an explicit recipe to cross the
-        # pickle boundary intact (BaseException.__reduce__ replays
-        # ``args``, which here is the formatted message, not our pair).
-        return (WorkerCellError, (self.label, self.traceback_text))
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ class ExperimentSpec:
 
 @dataclass
 class SlimExperimentResult:
-    """The picklable (and therefore cacheable) view of one cell's result.
+    """The storable view of one cell's result (see ``result_to_dict``).
 
     Mirrors the measurement surface of :class:`ExperimentResult`; the live
     simulator, cluster, and MPI job objects are deliberately absent.
@@ -135,7 +123,7 @@ class SlimExperimentResult:
     fault_log: list = field(default_factory=list)
     #: Guard (time, job, state, reason) transitions, when a guard ran.
     guard_transitions: list = field(default_factory=list)
-    #: Picklable SafetyGovernor.summary() dict, when a guard ran.
+    #: SafetyGovernor.summary() dict, when a guard ran.
     guard_summary: Optional[dict] = None
 
     @property
@@ -174,7 +162,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    errors: int = 0
 
 
 #: Stats of the most recent run_experiments() call (for tests/reporting).
@@ -260,58 +247,6 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
     return h.hexdigest()
 
 
-# -- cache --------------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
-
-
-def clear_cache(cache_dir: Optional[Path] = None) -> int:
-    """Delete all cached results; returns the number of entries removed."""
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    n = 0
-    if cache_dir.is_dir():
-        for f in cache_dir.glob("*.pkl"):
-            try:
-                f.unlink()
-                n += 1
-            except OSError:
-                pass
-    return n
-
-
-def _cache_load(path: Path) -> Optional[SlimExperimentResult]:
-    """Read one entry; any corruption (truncation, bad pickle, wrong type)
-    is treated as a miss, never an error."""
-    try:
-        with path.open("rb") as f:
-            obj = pickle.load(f)
-    except Exception:
-        return None
-    return obj if isinstance(obj, SlimExperimentResult) else None
-
-
-def _cache_store(path: Path, result: SlimExperimentResult) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(result, f)
-                # Make the temp file durable before it becomes visible:
-                # os.replace is atomic in the namespace, but a crash before
-                # the data hits disk could still publish a torn entry.
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass  # caching is best-effort; never fail the experiment
-
-
 # -- execution ----------------------------------------------------------
 
 
@@ -336,16 +271,6 @@ def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
     return SlimExperimentResult.from_full(res)
 
 
-def _run_spec_in_worker(spec: ExperimentSpec) -> SlimExperimentResult:
-    """Pool entry point: like :func:`_run_spec`, but any failure crosses
-    back to the parent as a :class:`WorkerCellError` with the child's
-    full traceback text attached."""
-    try:
-        return _run_spec(spec)
-    except Exception as exc:
-        raise WorkerCellError(spec.label, traceback.format_exc()) from exc
-
-
 def _default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
@@ -364,45 +289,73 @@ def run_experiments(
 ) -> list[SlimExperimentResult]:
     """Evaluate independent experiment cells, in parallel and memoised.
 
-    Results come back in input order.  Cached cells are served from
-    ``cache_dir`` without simulating; the remaining cells fan out over a
-    process pool of ``jobs`` workers (``jobs=1`` runs inline, which is
-    also the fallback on single-CPU hosts).
+    Results come back in input order.  Cells catalogued in the result
+    store at ``cache_dir`` (default ``$REPRO_CATALOG``) are served
+    without simulating; the remaining cells fan out over a worker pool
+    of ``jobs`` processes (``jobs=1`` or a single miss runs inline) and
+    are committed to the store unless ``cache`` is False.  A miss is
+    returned in its stored form, so it equals a later hit on it.
     """
+    # The store and the pool build on this module's cell definition.
+    from repro.runner.pool import WorkerPool
+    from repro.runner.store import (
+        CatalogRecord,
+        ResultCatalog,
+        result_from_dict,
+        result_to_dict,
+    )
+
     global LAST_RUN_STATS
     stats = CacheStats()
     LAST_RUN_STATS = stats
     if jobs is None:
         jobs = _default_jobs()
-    use_cache = cache and not os.environ.get("REPRO_NO_BENCH_CACHE")
-    cdir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    store = ResultCatalog(cache_dir) if cache else None
+    fingerprints = [experiment_fingerprint(s) for s in specs] if cache else []
 
     results: list[Optional[SlimExperimentResult]] = [None] * len(specs)
     misses: list[int] = []
-    paths: list[Optional[Path]] = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        if use_cache:
-            paths[i] = cdir / f"{experiment_fingerprint(spec)}.pkl"
-            hit = _cache_load(paths[i])
-            if hit is not None:
-                results[i] = hit
-                stats.hits += 1
-                continue
-        misses.append(i)
+    for i in range(len(specs)):
+        record = store.get(fingerprints[i]) if store is not None else None
+        if record is not None:
+            results[i] = result_from_dict(record.result)
+        else:
+            misses.append(i)
+    stats.hits = len(specs) - len(misses)
     stats.misses = len(misses)
+
+    def finish(i: int, result: dict, worker_id: Optional[int], wall_s: float,
+               attempts: int) -> None:
+        results[i] = result_from_dict(result)
+        if store is not None:
+            provenance = {"worker_id": worker_id, "attempts": attempts, "wall_time_s": wall_s}
+            # Memoising is best-effort: a failed commit costs a recompute, not the run.
+            with contextlib.suppress(OSError):
+                store.put(CatalogRecord(fingerprints[i], _code_fingerprint(), None, result,
+                                        provenance))
 
     if len(misses) <= 1 or jobs <= 1:
         for i in misses:
-            results[i] = _run_spec(specs[i])
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            for i, res in zip(
-                misses, pool.map(_run_spec_in_worker, (specs[i] for i in misses))
-            ):
-                results[i] = res
+            t0 = time.perf_counter()
+            result = result_to_dict(_run_spec(specs[i]))
+            finish(i, result, None, time.perf_counter() - t0, 1)
+        return results  # type: ignore[return-value]
 
-    if use_cache:
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    pool = WorkerPool(min(jobs, len(misses)), deliver=events.put)
+    pool.start()
+    try:
         for i in misses:
-            if paths[i] is not None and results[i] is not None:
-                _cache_store(paths[i], results[i])
+            pool.submit(i, specs[i])
+        remaining = len(misses)
+        while remaining:
+            event = events.get()
+            if event[0] == "done":  # ("done", i, result, worker_id, wall_s, attempts)
+                finish(*event[1:])
+                remaining -= 1
+            elif event[0] == "failed":
+                raise WorkerCellError(specs[event[1]].label, event[2])
+            # "requeue": the pool already handed the cell to a fresh worker.
+    finally:
+        pool.stop(drain=False)
     return results  # type: ignore[return-value]

@@ -1,9 +1,10 @@
 """Local worker pool: experiment cells in child processes, crash-safe.
 
-The coordinator fans submissions out to a pool of long-lived worker
-processes.  This reuses the cell-execution machinery of
-:mod:`repro.runner.parallel` (a worker evaluates exactly the cell
-``_run_spec`` would), but unlike a ``ProcessPoolExecutor`` the pool
+:func:`repro.runner.run_experiments` and the service coordinator fan
+:class:`~repro.runner.ExperimentSpec` cells out to a pool of long-lived
+worker processes.  A worker evaluates exactly the cell ``_run_spec``
+would and answers with its canonical :func:`~repro.runner.store
+.result_to_dict` form; unlike a ``ProcessPoolExecutor`` the pool
 
 - knows *which* job each worker holds, so when a worker dies mid-job
   (OOM-killed, segfaulted, chaos-tested) the assignment is requeued to a
@@ -18,12 +19,13 @@ Transport: one job pipe (parent -> child) and one result pipe (child ->
 parent) per worker, plus the process sentinel; a single monitor thread
 multiplexes all of them with :func:`multiprocessing.connection.wait`.
 Pool events are delivered to the owner through the ``deliver`` callback
-*on the monitor thread* -- the coordinator bridges them onto its asyncio
-loop with ``call_soon_threadsafe``.
+*on the monitor thread* -- ``run_experiments`` collects them from a
+queue, the coordinator bridges them onto its asyncio loop with
+``call_soon_threadsafe``.
 
 Event tuples delivered::
 
-    ("done",    job_id, slim_result, worker_id, wall_s, attempts)
+    ("done",    job_id, result_dict, worker_id, wall_s, attempts)
     ("failed",  job_id, traceback_text, worker_id, attempts)
     ("requeue", job_id, dead_worker_id, attempts)   # informational
 """
@@ -37,11 +39,12 @@ import time
 import traceback
 from collections import deque
 from multiprocessing.connection import Connection, wait as mp_wait
-from typing import Any, Callable, Optional
+from typing import Callable, Hashable, Optional
 
 # Pre-import everything a worker touches so a forked child never has to
 # take the import lock (the pool may be started from a non-main thread).
-from repro.runner.parallel import _run_spec  # noqa: F401  (worker entry)
+from repro.runner.parallel import ExperimentSpec, _run_spec
+from repro.runner.store import result_to_dict
 
 __all__ = ["WorkerPool"]
 
@@ -50,16 +53,8 @@ __all__ = ["WorkerPool"]
 CHAOS_EXIT_CODE = 13
 
 
-def _execute_submission(payload: dict) -> Any:
-    """Child-side cell evaluation: parse, lower, run, slim."""
-    from repro.service.schemas import ExperimentSubmission
-
-    submission = ExperimentSubmission.from_dict(payload)
-    return _run_spec(submission.to_experiment_spec())
-
-
 def _worker_main(worker_id: int, job_conn: Connection, result_conn: Connection) -> None:
-    """Worker loop: receive ("job", id, payload, chaos_crash) until "stop"."""
+    """Worker loop: receive ("job", id, spec, chaos_crash) until "stop"."""
     while True:
         try:
             msg = job_conn.recv()
@@ -67,7 +62,7 @@ def _worker_main(worker_id: int, job_conn: Connection, result_conn: Connection) 
             break
         if msg[0] == "stop":
             break
-        _, job_id, payload, chaos_crash = msg
+        _, job_id, spec, chaos_crash = msg
         if chaos_crash:
             # Deterministic crash-mid-job used by the requeue tests: the
             # job was assigned (the coordinator is counting on us) and we
@@ -75,7 +70,7 @@ def _worker_main(worker_id: int, job_conn: Connection, result_conn: Connection) 
             os._exit(CHAOS_EXIT_CODE)
         t0 = time.perf_counter()
         try:
-            result = _execute_submission(payload)
+            result = result_to_dict(_run_spec(spec))
         except Exception:
             result_conn.send(("error", job_id, traceback.format_exc()))
         else:
@@ -83,11 +78,11 @@ def _worker_main(worker_id: int, job_conn: Connection, result_conn: Connection) 
 
 
 class _Assignment:
-    __slots__ = ("job_id", "payload", "attempts", "chaos_crash")
+    __slots__ = ("job_id", "spec", "attempts", "chaos_crash")
 
-    def __init__(self, job_id: str, payload: dict, chaos_crash: bool = False) -> None:
+    def __init__(self, job_id: Hashable, spec: ExperimentSpec, chaos_crash: bool = False) -> None:
         self.job_id = job_id
-        self.payload = payload
+        self.spec = spec
         self.attempts = 0
         self.chaos_crash = chaos_crash
 
@@ -185,27 +180,36 @@ class WorkerPool:
 
         Returns True when everything drained (or immediately for
         ``drain=False``, which abandons queued work and terminates
-        workers)."""
+        busy workers)."""
         drained = True
         if drain:
             drained = self.wait_idle(timeout)
         with self._lock:
             self._stopping = True
+            self._pending.clear()
             workers = list(self._workers.values())
-        for worker in workers:
-            try:
-                worker.job_conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
+            for worker in workers:
+                if worker.current is not None:
+                    worker.process.terminate()
+                    continue
+                try:
+                    worker.job_conn.send(("stop",))
+                except OSError:
+                    pass
         for worker in workers:
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():  # pragma: no cover - defensive
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            worker.job_conn.close()
-            worker.result_conn.close()
+        # The monitor closes the pipes of workers it reaps; join it before
+        # closing the rest so no pipe is closed twice.
         if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
+            self._monitor.join()
+        with self._lock:
+            for worker in self._workers.values():
+                worker.job_conn.close()
+                worker.result_conn.close()
+            self._workers.clear()
         return drained
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
@@ -214,12 +218,12 @@ class WorkerPool:
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, job_id: str, payload: dict, chaos_crash: bool = False) -> None:
-        """Queue one job; it is assigned to the first idle worker."""
+    def submit(self, job_id: Hashable, spec: ExperimentSpec, chaos_crash: bool = False) -> None:
+        """Queue one cell; it is assigned to the first idle worker."""
         with self._lock:
             if self._stopping:
                 raise RuntimeError("pool is stopping")
-            self._pending.append(_Assignment(job_id, payload, chaos_crash))
+            self._pending.append(_Assignment(job_id, spec, chaos_crash))
             self._idle.clear()
             self._dispatch_locked()
 
@@ -236,7 +240,7 @@ class WorkerPool:
                     (
                         "job",
                         assignment.job_id,
-                        assignment.payload,
+                        assignment.spec,
                         assignment.chaos_crash and assignment.attempts == 1,
                     )
                 )

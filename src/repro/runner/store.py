@@ -1,28 +1,27 @@
-"""Content-addressed experiment result catalog with full provenance.
+"""Content-addressed experiment result store with full provenance.
 
-One :class:`CatalogRecord` per experiment fingerprint (the bench-cache
-sha256 of the lowered spec, code version included), stored as one JSON
-file under ``<root>/records/<fingerprint>.json``.  Records are committed
-atomically -- written to a temp file, fsynced, then renamed into place,
-exactly like the bench cache -- so a reader can never observe a torn
-entry: a record either exists whole or not at all, and any corruption
-found on disk reads as a miss, never an error.
+One :class:`CatalogRecord` per experiment fingerprint (the sha256 of the
+cell's parameters, code version included), stored flat as
+``<root>/<fingerprint>.json``; ``run_experiments`` and the service
+coordinator share it.  Records are committed atomically -- written to a
+temp file, fsynced, then renamed into place -- so a reader can never
+observe a torn entry: a record either exists whole or not at all, and
+any corruption found on disk reads as a miss, never an error.
 
 A record carries everything needed to audit or reproduce the run:
 
 - ``code_version``   -- hash of the whole ``repro`` package source;
-- ``submission``     -- the canonical schema-v1 submission dict
-  (including any fault plan and guard config verbatim);
+- ``submission``     -- the canonical schema-v1 submission dict (fault
+  plan and guard config verbatim); None from ``run_experiments``;
 - ``result``         -- the JSON-canonical measurement surface of the
   run (per-job measurements, makespan, DualPar transitions, fault log,
-  guard transitions/summary, obs metrics snapshot when observed);
+  guard transitions/summary, obs metrics snapshot, timeline samples);
 - ``provenance``     -- who computed it and how: worker id, attempt
-  count, wall time, coordinator host/pid, submit tenant, timestamps.
+  count, wall time (service runs add tenant, host/pid, timestamps).
 
 ``result_to_dict`` defines the *one* canonical JSON form of a
-:class:`~repro.runner.SlimExperimentResult`; the service-level tests
-compare a catalog record against a direct ``run_experiment`` of the same
-spec through this function, bit for bit.
+:class:`~repro.runner.SlimExperimentResult` and ``result_from_dict`` its
+inverse, so a store hit equals the miss that wrote it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.runner.experiment import JobResult
 from repro.runner.parallel import SlimExperimentResult
+from repro.trace.timeline import ThroughputTimeline
 
 __all__ = [
     "RECORD_VERSION",
@@ -43,6 +44,7 @@ __all__ = [
     "ResultCatalog",
     "canonical_json",
     "default_catalog_dir",
+    "result_from_dict",
     "result_to_dict",
 ]
 
@@ -51,8 +53,8 @@ RECORD_VERSION = 1
 
 
 def default_catalog_dir() -> Path:
-    """Catalog root: ``$REPRO_SERVICE_CATALOG`` or ``.service_catalog``."""
-    return Path(os.environ.get("REPRO_SERVICE_CATALOG", ".service_catalog"))
+    """Store root: ``$REPRO_CATALOG`` or ``.repro_catalog``."""
+    return Path(os.environ.get("REPRO_CATALOG", ".repro_catalog"))
 
 
 def canonical_json(obj: Any) -> str:
@@ -69,6 +71,7 @@ def result_to_dict(result: SlimExperimentResult) -> dict:
     strings) -- JSON floats round-trip exactly (shortest-repr), so this
     normalisation never changes a measured value.
     """
+    tl = result.timeline
     payload = {
         "jobs": [dataclasses.asdict(j) for j in result.jobs],
         "makespan_s": result.makespan_s,
@@ -78,8 +81,29 @@ def result_to_dict(result: SlimExperimentResult) -> dict:
         "guard_transitions": [list(t) for t in result.guard_transitions],
         "guard_summary": result.guard_summary,
         "metrics": result.metrics,
+        "timeline": None if tl is None else {"name": tl.name, "samples": tl.samples},
     }
     return json.loads(canonical_json(payload))
+
+
+def result_from_dict(d: Mapping[str, Any]) -> SlimExperimentResult:
+    """The inverse of :func:`result_to_dict` (record tuples restored)."""
+    timeline = None
+    if d["timeline"] is not None:
+        timeline = ThroughputTimeline(d["timeline"]["name"])
+        for t, nbytes in d["timeline"]["samples"]:
+            timeline.record(t, nbytes)
+    return SlimExperimentResult(
+        jobs=[JobResult(**j) for j in d["jobs"]],
+        makespan_s=d["makespan_s"],
+        total_bytes_served=d["total_bytes_served"],
+        dualpar_transitions=[tuple(t) for t in d["dualpar_transitions"]],
+        timeline=timeline,
+        metrics=d["metrics"],
+        fault_log=[tuple(ev) for ev in d["fault_log"]],
+        guard_transitions=[tuple(t) for t in d["guard_transitions"]],
+        guard_summary=d["guard_summary"],
+    )
 
 
 @dataclass(frozen=True)
@@ -88,7 +112,7 @@ class CatalogRecord:
 
     fingerprint: str
     code_version: str
-    submission: dict
+    submission: Optional[dict]
     result: dict
     provenance: dict
     record_version: int = RECORD_VERSION
@@ -133,14 +157,13 @@ _RECORD_FIELDS = frozenset(f.name for f in fields(CatalogRecord))
 
 
 class ResultCatalog:
-    """Directory of catalog records, keyed by experiment fingerprint."""
+    """Flat directory of catalog records, keyed by experiment fingerprint."""
 
     def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else default_catalog_dir()
-        self.records_dir = self.root / "records"
 
     def path_for(self, fingerprint: str) -> Path:
-        return self.records_dir / f"{fingerprint}.json"
+        return self.root / f"{fingerprint}.json"
 
     def get(self, fingerprint: str) -> Optional[CatalogRecord]:
         """Load one record; missing or corrupt entries read as a miss."""
@@ -156,13 +179,14 @@ class ResultCatalog:
 
         Returns False -- leaving the existing entry untouched -- when the
         fingerprint is already catalogued: content-addressed entries are
-        immutable, so first write wins and replays are no-ops.
+        immutable, so first write wins and replays are no-ops.  An entry
+        that reads as a miss (corrupt, torn) is replaced.
         """
         path = self.path_for(record.fingerprint)
-        if path.exists():
+        if self.get(record.fingerprint) is not None:
             return False
-        self.records_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.records_dir, suffix=".tmp")
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(record.to_json())
@@ -176,9 +200,9 @@ class ResultCatalog:
         return True
 
     def fingerprints(self) -> list[str]:
-        if not self.records_dir.is_dir():
+        if not self.root.is_dir():
             return []
-        return sorted(p.stem for p in self.records_dir.glob("*.json"))
+        return sorted(p.stem for p in self.root.glob("*.json"))
 
     def records(self) -> Iterator[CatalogRecord]:
         for fp in self.fingerprints():

@@ -6,12 +6,9 @@ The service layer turns the one-shot experiment harness
 
 - :mod:`repro.service.schemas`     -- versioned JSON submission schema
   (unknown fields and foreign schema versions rejected outright);
-- :mod:`repro.service.catalog`     -- content-addressed result catalog:
-  one atomically-committed record per experiment fingerprint, with full
-  provenance (code version, submission, fault plan, guard config, obs
-  snapshot, worker id, wall time);
-- :mod:`repro.service.worker`      -- local worker pool with crash
-  detection and bounded requeue;
+- :class:`ResultCatalog` and :class:`WorkerPool` -- the runner's result
+  store (:mod:`repro.runner.store`) and crash-requeueing worker pool
+  (:mod:`repro.runner.pool`), re-exported;
 - :mod:`repro.service.coordinator` -- the asyncio coordinator: schema
   gate, sha256 dedup, guard-budget tenant quotas/backpressure, fan-out,
   drain-on-SIGTERM;
@@ -22,7 +19,8 @@ CLI: ``repro serve`` / ``repro submit`` / ``repro status`` /
 ``repro catalog``.  See ``docs/service.md``.
 """
 
-from repro.service.catalog import (
+from repro.runner.pool import WorkerPool
+from repro.runner.store import (
     RECORD_VERSION,
     CatalogRecord,
     ResultCatalog,
@@ -37,7 +35,6 @@ from repro.service.schemas import (
     ExperimentSubmission,
     JobSubmission,
 )
-from repro.service.worker import WorkerPool
 
 __all__ = [
     "RECORD_VERSION",

@@ -4,11 +4,11 @@ The coordinator is the long-running front of the DualPar harness
 (ROADMAP item 3): tenants submit :class:`~repro.service.schemas
 .ExperimentSubmission` JSON over a line-delimited TCP API, the
 coordinator validates each against the versioned schema, dedupes by the
-bench-cache sha256 fingerprint (code version included), applies
+cell's sha256 fingerprint (code version included), applies
 per-tenant quotas and global backpressure charged against a
 :class:`repro.guard.MemoryBudget`, fans the remaining work out to a
-:class:`~repro.service.worker.WorkerPool`, and commits each result to
-the content-addressed :class:`~repro.service.catalog.ResultCatalog`
+:class:`~repro.runner.pool.WorkerPool`, and commits each result to
+the content-addressed :class:`~repro.runner.store.ResultCatalog`
 with full provenance.
 
 Dedup ladder, applied in order at submit time:
@@ -52,9 +52,9 @@ from typing import Any, Optional
 from repro import __version__
 from repro.guard import GuardConfig, MemoryBudget
 from repro.runner.parallel import _code_fingerprint
-from repro.service.catalog import CatalogRecord, ResultCatalog, result_to_dict
+from repro.runner.pool import WorkerPool
+from repro.runner.store import CatalogRecord, ResultCatalog
 from repro.service.schemas import SCHEMA_VERSION, ExperimentSubmission
-from repro.service.worker import WorkerPool
 
 __all__ = ["Coordinator", "ServiceHandle", "start_in_thread"]
 
@@ -301,7 +301,7 @@ class Coordinator:
         self._jobs[fingerprint] = job
         self.n_queued += 1
         assert self._pool is not None
-        self._pool.submit(fingerprint, payload, chaos_crash=chaos_crash)
+        self._pool.submit(fingerprint, submission.to_experiment_spec(), chaos_crash)
         if wait:
             return await self._wait_for(job, status="queued")
         return {"ok": True, "status": "queued", "fingerprint": fingerprint}
@@ -332,7 +332,7 @@ class Coordinator:
     def _on_pool_event(self, event: tuple) -> None:
         kind = event[0]
         if kind == "done":
-            _, fingerprint, slim, worker_id, wall_s, attempts = event
+            _, fingerprint, result, worker_id, wall_s, attempts = event
             job = self._jobs.get(fingerprint)
             if job is None:  # pragma: no cover - defensive
                 return
@@ -340,7 +340,7 @@ class Coordinator:
                 fingerprint=fingerprint,
                 code_version=_code_fingerprint(),
                 submission=job.payload,
-                result=result_to_dict(slim),
+                result=result,
                 provenance={
                     "repro_version": __version__,
                     "tenant": job.tenant,

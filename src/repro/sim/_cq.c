@@ -936,12 +936,18 @@ static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
                 Py_XINCREF(val);
                 PyObject *result = PyObject_CallOneArg(send, val);
                 Py_XDECREF(val);
+                /* Park the generator's exception (StopIteration too): a
+                 * type-cache miss inside SetAttr must not clear it. */
+                PyObject *xt = NULL, *xv = NULL, *xtb = NULL;
+                if (result == NULL) PyErr_Fetch(&xt, &xv, &xtb);
                 if (PyObject_SetAttr(sim, str_active, Py_None) < 0) {
+                    Py_XDECREF(xt); Py_XDECREF(xv); Py_XDECREF(xtb);
                     Py_XDECREF(result);
                     Py_DECREF(w);
                     return -1;
                 }
                 if (result == NULL) {
+                    PyErr_Restore(xt, xv, xtb);
                     if (!PyErr_ExceptionMatches(PyExc_StopIteration)) {
                         /* mirror `except BaseException: self.fail(exc)` */
                         PyObject *etype, *evalue, *etb;

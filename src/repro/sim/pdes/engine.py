@@ -48,7 +48,6 @@ defensive :class:`PdesDeadlock` guards the invariant at run time.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -601,9 +600,8 @@ class PdesEngine:
                 "per_lp_committed": {lp.name: lp.n_committed for lp in owned},
                 "per_lp_clock": {lp.name: lp.sim.now for lp in owned},
             }
-            # Catch unpicklable results in the worker, where the stack
-            # still points at the offending LP.
-            pickle.dumps(results)
+            # send() pickles here, in the worker, so an unpicklable result
+            # raises where the stack still points at the offending LP.
             conn.send(("result", results, stats_w))
         except BaseException as exc:  # pragma: no cover - crash path
             try:

@@ -30,6 +30,11 @@ class ThroughputTimeline:
         self._series.record(time, nbytes)
 
     @property
+    def samples(self) -> list[tuple[float, float]]:
+        """The ``(time, nbytes)`` completion samples, in record order."""
+        return self._series.samples
+
+    @property
     def total_bytes(self) -> int:
         return int(sum(v for _, v in self._series.samples))
 

@@ -302,7 +302,7 @@ def test_catalog_leaves_no_temp_files(tmp_path):
     catalog = ResultCatalog(tmp_path)
     for i in range(4):
         catalog.put(_record(fp=f"{i:064x}"))
-    assert not list(catalog.records_dir.glob("*.tmp"))
+    assert not list(catalog.root.glob("*.tmp"))
     assert len(catalog) == 4
 
 

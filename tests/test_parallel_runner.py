@@ -1,22 +1,29 @@
-"""Coverage for the parallel experiment runner and its on-disk cache."""
+"""Coverage for the parallel experiment runner, its result store and pool."""
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
 from repro import DualParConfig, ExperimentSpec, JobSpec, MpiIoTest, run_experiments
 from repro.cluster import paper_spec
+from repro.faults import FaultEvent, FaultPlan
+from repro.guard import GuardConfig
 from repro.runner import parallel
-from repro.runner.parallel import (
-    WorkerCellError,
-    clear_cache,
-    experiment_fingerprint,
-)
+from repro.runner.parallel import WorkerCellError, experiment_fingerprint
+from repro.runner.pool import WorkerPool
+from repro.runner.store import ResultCatalog, result_to_dict
 from repro.workloads.base import FileSpec, Workload
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _spec(strategy="vanilla", quota_kb=None, stripe_unit=64 * 1024, nprocs=8):
@@ -94,7 +101,7 @@ def test_changed_parameters_miss_the_cache(tmp_path):
 def test_corrupt_cache_file_is_ignored(tmp_path):
     spec = _spec("vanilla")
     good = run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    path = tmp_path / f"{experiment_fingerprint(spec)}.pkl"
+    path = ResultCatalog(tmp_path).path_for(experiment_fingerprint(spec))
     assert path.exists()
 
     # Truncated garbage must be treated as a miss, not an error.
@@ -103,43 +110,79 @@ def test_corrupt_cache_file_is_ignored(tmp_path):
     assert parallel.LAST_RUN_STATS.misses == 1
     assert pickle.dumps(good) == pickle.dumps(again)
 
-    # A valid pickle of the wrong type is also a miss.
-    path.write_bytes(pickle.dumps({"not": "a result"}))
+    # Valid JSON that is not a record is also a miss.
+    path.write_text('{"not": "a record"}')
     run_experiments([spec], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.misses == 1
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path):
-    """A valid entry cut short mid-stream -- the torn-write shape fsync in
-    ``_cache_store`` defends against -- must replay as a miss and be
-    rewritten whole."""
+    """A valid entry cut short mid-stream -- the torn-write shape the
+    store's fsync-before-rename defends against -- must replay as a miss
+    and be rewritten whole."""
     spec = _spec("vanilla")
     good = run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    path = tmp_path / f"{experiment_fingerprint(spec)}.pkl"
-    whole = path.read_bytes()
+    store = ResultCatalog(tmp_path)
+    fingerprint = experiment_fingerprint(spec)
+    whole = store.get(fingerprint)
+    path = store.path_for(fingerprint)
 
-    path.write_bytes(whole[: len(whole) // 2])
+    path.write_text(path.read_text()[: len(path.read_text()) // 2])
     again = run_experiments([spec], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.misses == 1
     assert parallel.LAST_RUN_STATS.hits == 0
     assert pickle.dumps(good) == pickle.dumps(again)
-    assert path.read_bytes() == whole  # entry healed by the re-run
+    # Entry healed by the re-run (its provenance records the new run).
+    assert store.get(fingerprint).result == whole.result
 
 
-def test_cache_can_be_disabled(tmp_path, monkeypatch):
+def test_cache_can_be_disabled(tmp_path):
     spec = _spec("vanilla")
     run_experiments([spec], jobs=1, cache=False, cache_dir=tmp_path)
-    assert not list(tmp_path.glob("*.pkl"))
-    monkeypatch.setenv("REPRO_NO_BENCH_CACHE", "1")
-    run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    assert not list(tmp_path.glob("*.pkl"))
+    assert not list(tmp_path.iterdir())
 
 
-def test_clear_cache(tmp_path):
-    run_experiments([_spec("vanilla"), _spec("collective")], jobs=1, cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("*.pkl"))) == 2
-    assert clear_cache(tmp_path) == 2
-    assert not list(tmp_path.glob("*.pkl"))
+def test_miss_is_committed_with_provenance(tmp_path):
+    spec = _spec("vanilla")
+    (res,) = run_experiments([spec], jobs=1, cache_dir=tmp_path)
+    record = ResultCatalog(tmp_path).get(experiment_fingerprint(spec))
+    assert record.submission is None
+    assert record.result == result_to_dict(res)
+    assert record.provenance["attempts"] == 1
+    assert record.provenance["wall_time_s"] > 0
+    # One flat directory: one record file per cell.
+    assert [p.name for p in tmp_path.iterdir()] == [f"{record.fingerprint}.json"]
+
+
+def _rich_spec(**over):
+    base = _spec("dualpar-forced", quota_kb=256)
+    return ExperimentSpec(
+        base.specs, cluster_spec=base.cluster_spec,
+        dualpar_config=base.dualpar_config, **over,
+    )
+
+
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        ({"observe": True}, "metrics"),
+        ({"fault_plan": FaultPlan(
+            seed=3, events=(FaultEvent(kind="disk_failslow", at_s=0.0, until_s=0.05),))},
+         "fault_log"),
+        ({"guard": GuardConfig(min_hit_rate=0.5)}, "guard_summary"),
+        ({"timeline_window_s": 0.01}, "timeline"),
+    ],
+    ids=["observed", "faulted", "guarded", "timeline"],
+)
+def test_store_hit_equals_the_miss_that_wrote_it(tmp_path, over, field):
+    spec = _rich_spec(**over)
+    (miss,) = run_experiments([spec], jobs=1, cache_dir=tmp_path)
+    (hit,) = run_experiments([spec], jobs=1, cache_dir=tmp_path)
+    assert parallel.LAST_RUN_STATS.hits == 1
+    assert getattr(miss, field)  # the cell really carries the surface
+    assert result_to_dict(hit) == result_to_dict(miss)
+    if field == "timeline":
+        assert hit.timeline.series(0.01) == miss.timeline.series(0.01)
 
 
 def test_slim_result_measurement_surface(tmp_path):
@@ -203,23 +246,79 @@ def test_worker_failure_carries_child_traceback():
     assert "kaboom in ops" in str(err)
 
 
-def test_worker_cell_error_pickles_whole():
-    err = WorkerCellError("cell-7", "Traceback ...\nValueError: nope\n")
-    clone = pickle.loads(pickle.dumps(err))
-    assert isinstance(clone, WorkerCellError)
-    assert clone.label == "cell-7"
-    assert clone.traceback_text == err.traceback_text
-    assert str(clone) == str(err)
-
-
 def test_inline_run_raises_the_original_exception():
     # jobs=1 runs in-process: no wrapping, the real exception propagates.
     with pytest.raises(RuntimeError, match="kaboom in ops"):
         run_experiments([_boom_spec()], jobs=1, cache=False)
 
 
+class _CrashOnceWorkload(MpiIoTest):
+    """Kills its worker process the first time any rank starts (the
+    marker file remembers across processes), like an OOM kill."""
+
+    def __init__(self, marker: str, **kw) -> None:
+        super().__init__(**kw)
+        self.marker = marker
+
+    def ops(self, rank: int, size: int):
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(13)
+        return super().ops(rank, size)
+
+
+def test_worker_killed_mid_cell_is_requeued(tmp_path):
+    crash = ExperimentSpec(
+        [JobSpec("m", 4, _CrashOnceWorkload(str(tmp_path / "crashed"),
+                                            file_size=1024 * 1024))],
+        cluster_spec=paper_spec(n_compute_nodes=4),
+        label="crash-once",
+    )
+    store = tmp_path / "store"
+    pooled = run_experiments([crash, _spec("vanilla")], jobs=2, cache_dir=store)
+    assert (tmp_path / "crashed").exists()
+    record = ResultCatalog(store).get(experiment_fingerprint(crash))
+    assert record.provenance["attempts"] == 2
+    # The requeued cell computed what an undisturbed run computes.
+    inline = run_experiments([crash], jobs=1, cache=False)
+    assert pickle.dumps(pooled[:1]) == pickle.dumps(inline)
+
+
+def test_pool_start_submit_stop_cycles_raise_nothing(monkeypatch):
+    """stop() and the monitor thread both reap workers; neither may
+    close a pipe the other already closed."""
+    thread_errors: list = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    spec = ExperimentSpec(
+        [JobSpec("t", 1, MpiIoTest(file_size=64 * 1024))],
+        cluster_spec=paper_spec(n_compute_nodes=1),
+    )
+    for _ in range(100):
+        events: list = []
+        pool = WorkerPool(2, deliver=events.append)
+        pool.start()
+        for job in range(4):
+            pool.submit(job, spec)
+        assert pool.wait_idle(60)
+        pool.stop()
+        assert sorted(e[1] for e in events if e[0] == "done") == [0, 1, 2, 3]
+    assert thread_errors == []
+
+
+def test_import_repro_leaves_the_service_layer_out():
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('asyncio', 'repro.service') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
-# cross-process cache race (ISSUE 9 satellite)
+# cross-process store race
 # ---------------------------------------------------------------------------
 
 
@@ -237,8 +336,8 @@ def _race_entry(cache_dir, barrier, results):
 
 
 def test_cross_process_cache_race_single_entry_no_corrupt_reads(tmp_path):
-    """Two processes racing the same .bench_cache key must yield exactly
-    one stored entry and zero corrupt reads (extends the truncated-entry
+    """Two processes racing the same store key must yield exactly one
+    stored entry and zero corrupt reads (extends the truncated-entry
     -is-miss test above to real concurrency: atomic fsync-before-rename
     means a reader sees a whole entry or a miss, never a torn one)."""
     ctx = multiprocessing.get_context()
@@ -258,7 +357,7 @@ def test_cross_process_cache_race_single_entry_no_corrupt_reads(tmp_path):
     assert all(consistent for consistent, _ in outcomes)
     assert len({blob for _, blob in outcomes}) == 1
     # Exactly one whole stored entry, no leftover temp files.
-    entries = list(tmp_path.glob("*.pkl"))
+    entries = list(tmp_path.glob("*.json"))
     assert len(entries) == 1
     assert not list(tmp_path.glob("*.tmp*"))
     # The surviving entry replays as a hit, byte-identical to the race.

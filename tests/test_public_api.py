@@ -69,10 +69,10 @@ MODULES = [
     "repro.runner.strategies",
     "repro.runner.results",
     "repro.runner.calibrate",
+    "repro.runner.store",
+    "repro.runner.pool",
     "repro.service",
     "repro.service.schemas",
-    "repro.service.catalog",
-    "repro.service.worker",
     "repro.service.coordinator",
     "repro.service.client",
     "repro.trace",

@@ -23,7 +23,8 @@ import pytest
 
 from repro.faults import FaultEvent, FaultPlan
 from repro.guard import GuardConfig
-from repro.runner.parallel import _run_spec
+from repro.cli import main
+from repro.runner.parallel import ExperimentSpec, _run_spec, run_experiments
 from repro.service import (
     ClusterSubmission,
     ExperimentSubmission,
@@ -136,6 +137,24 @@ def test_submit_runs_and_catalogs_with_full_provenance(service):
     on_disk = ResultCatalog(catalog_dir).get(sub.fingerprint())
     assert on_disk is not None
     assert on_disk.to_dict() == record
+
+
+def test_run_experiments_cell_is_a_cached_submit_hit(service, capsys):
+    """run_experiments and the coordinator share one store: a cell the
+    runner catalogued is served to an equivalent submission without
+    running, and `repro catalog list` shows it."""
+    _handle, client, catalog_dir = service
+    sub = _submission(label="runner-cell")
+    (res,) = run_experiments([sub.to_experiment_spec()], jobs=1, cache_dir=catalog_dir)
+    response = client.submit(sub, wait=True)
+    assert response["ok"] and response["status"] == "cached"
+    record = response["record"]
+    assert record["submission"] is None
+    assert record["result"] == result_to_dict(res)
+    assert client.status()["counters"]["queued"] == 0
+
+    assert main(["catalog", "list", "--catalog", str(catalog_dir)]) == 0
+    assert sub.fingerprint()[:16] in capsys.readouterr().out
 
 
 def test_catalog_result_bit_identical_to_direct_run(service):
@@ -314,7 +333,7 @@ def test_chaos_flag_requires_allow_chaos(tmp_path):
 
 
 def test_pool_reports_child_traceback_on_failing_payload():
-    """A payload that raises inside a worker comes back as a 'failed'
+    """A cell that raises inside a worker comes back as a 'failed'
     event carrying the child's full traceback text, not a bare error."""
     events: list[tuple] = []
     done = threading.Event()
@@ -326,9 +345,9 @@ def test_pool_reports_child_traceback_on_failing_payload():
     pool = WorkerPool(1, deliver=deliver)
     pool.start()
     try:
-        # Bypasses the coordinator's schema gate on purpose: the pool
-        # must survive (and attribute) garbage payloads on its own.
-        pool.submit("job-x", {"schema_version": 1, "jobs": []})
+        # A jobless cell: the pool must survive (and attribute) a cell
+        # that run_experiment rejects.
+        pool.submit("job-x", ExperimentSpec([]))
         assert done.wait(60)
     finally:
         pool.stop()
@@ -336,7 +355,7 @@ def test_pool_reports_child_traceback_on_failing_payload():
     assert kind == "failed"
     assert job_id == "job-x"
     assert "Traceback (most recent call last)" in tb_text
-    assert "at least one job" in tb_text
+    assert "need at least one job spec" in tb_text
     assert attempts == 1
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import sys
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +12,7 @@ from repro.sim import (
     all_of,
     any_of,
 )
+from repro.sim import core as sim_core
 
 
 def test_clock_starts_at_zero():
@@ -195,6 +198,34 @@ def test_unhandled_process_exception_surfaces():
 
     sim.process(bad())
     with pytest.raises(RuntimeError, match="kaput"):
+        sim.run()
+
+
+@pytest.mark.skipif(sim_core._CQ is None, reason="C accelerator unavailable")
+def test_accelerated_pump_keeps_generator_exception_across_type_cache_miss():
+    """The C dispatch pump resets ``sim._active`` after the generator
+    step; a type-attribute-cache miss there must not clobber the pending
+    StopIteration (return) or exception (raise)."""
+    sim = Simulator()
+
+    def returns():
+        yield sim.timeout(1)
+        sys._clear_type_cache()
+        return 42
+
+    proc = sim.process(returns())
+    sim.run()
+    assert proc.value == 42
+
+    sim = Simulator()
+
+    def raises():
+        yield sim.timeout(1)
+        sys._clear_type_cache()
+        raise ValueError("boom")
+
+    sim.process(raises())
+    with pytest.raises(ValueError, match="boom"):
         sim.run()
 
 
