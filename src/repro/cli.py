@@ -15,8 +15,9 @@ strategy and prints a comparison table; ``lint`` runs the simlint
 determinism rules (see docs/static_analysis.md).  ``run``/``report``/
 ``compare`` accept ``--sanitize`` to enable the runtime SimSanitizer for
 every simulator the command creates (including parallel workers), and
-``--metrics``/``--trace-out`` to attach the observability layer and dump
-a metrics snapshot / Chrome-trace JSON (see docs/observability.md).
+``--metrics`` to attach the observability layer and dump a metrics
+snapshot; ``run``/``report`` also take ``--trace-out`` for a Chrome-trace
+JSON (see docs/observability.md).
 ``--faults plan.json`` replays a deterministic fault schedule against the
 simulated cluster (see docs/fault_injection.md), and ``--guard`` attaches
 the safety governor -- memory budgets, benefit governor, circuit breaker,
@@ -258,18 +259,22 @@ def _apply_sanitize(args) -> None:
         os.environ["REPRO_SANITIZE"] = "1"
 
 
-def cmd_run(args) -> int:
+def _run_single(args):
+    """Run the one job ``run``/``report`` describe; return its result."""
     _apply_sanitize(args)
     workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    result = run_experiment(
+    return run_experiment(
         [JobSpec(args.workload, args.nprocs, workload, strategy=args.strategy)],
         cluster_spec=_cluster_from_args(args),
         dualpar_config=_dualpar_from_args(args),
         observe=_observe_from_args(args),
         fault_plan=_faults_from_args(args),
         guard=_guard_from_args(args),
-        workers=args.workers,
     )
+
+
+def cmd_run(args) -> int:
+    result = _run_single(args)
     print(
         format_table(
             ["job", "strategy", "ranks", "time (s)", "MB/s", "I/O ratio"],
@@ -316,7 +321,6 @@ def cmd_compare(args) -> int:
             observe=bool(args.metrics),
             fault_plan=_faults_from_args(args),
             guard=_guard_from_args(args),
-            workers=args.workers if args.workers is not None else 1,
             label=strategy,
         )
         for strategy in args.strategies
@@ -346,29 +350,13 @@ def cmd_compare(args) -> int:
         )
         write_metrics(args.metrics, merged)
         print(f"\nper-strategy metrics written to {args.metrics}")
-    if args.trace_out:
-        print(
-            "note: --trace-out applies to `run`/`report` only "
-            "(compare cells run in worker processes)",
-            file=sys.stderr,
-        )
     return 0
 
 
 def cmd_report(args) -> int:
     from repro.analysis import summarize
 
-    _apply_sanitize(args)
-    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    result = run_experiment(
-        [JobSpec(args.workload, args.nprocs, workload, strategy=args.strategy)],
-        cluster_spec=_cluster_from_args(args),
-        dualpar_config=_dualpar_from_args(args),
-        observe=_observe_from_args(args),
-        fault_plan=_faults_from_args(args),
-        guard=_guard_from_args(args),
-        workers=args.workers,
-    )
+    result = _run_single(args)
     print(summarize(result))
     _print_fault_summary(result)
     _print_guard_summary(result)
@@ -426,10 +414,17 @@ def cmd_pdes(args) -> int:
     )
     workers = args.workers
     if workers is None:
+        # The CI worker-count matrix drives this variable, so a typo must
+        # fail loudly rather than quietly test one worker.
+        raw = os.environ.get("REPRO_SIM_WORKERS") or "1"
         try:
-            workers = int(os.environ.get("REPRO_SIM_WORKERS", "1") or "1")
+            workers = int(raw)
         except ValueError:
-            workers = 1
+            print(f"REPRO_SIM_WORKERS={raw!r} is not an integer", file=sys.stderr)
+            return 2
+    if workers < 0:
+        print(f"worker count must be >= 0, got {workers}", file=sys.stderr)
+        return 2
 
     runs: list[tuple[str, object]] = []
     if args.verify:
@@ -704,12 +699,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="attach the observability layer; write a metrics-snapshot JSON",
     )
     p.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome/Perfetto trace_event JSON of the run",
-    )
-    p.add_argument(
         "--faults",
         metavar="PATH",
         default=None,
@@ -721,14 +710,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="attach the safety governor: budgets, benefit governor, "
         "circuit breaker, stall watchdog (docs/degradation.md)",
     )
+
+
+def _add_single(p: argparse.ArgumentParser) -> None:
+    """Options of the one-job commands (``run``, ``report``)."""
+    _add_common(p)
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="dualpar-forced")
     p.add_argument(
-        "--workers",
-        type=int,
+        "--trace-out",
+        metavar="PATH",
         default=None,
-        metavar="N",
-        help="sharded-simulation worker count (default: REPRO_SIM_WORKERS "
-        "or 1; the full cluster model currently falls back to the "
-        "bit-identical serial run -- see docs/parallel_des.md)",
+        help="write a Chrome/Perfetto trace_event JSON of the run",
     )
 
 
@@ -740,13 +732,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one job under one strategy")
-    _add_common(p_run)
-    p_run.add_argument("--strategy", choices=STRATEGY_NAMES, default="dualpar-forced")
+    _add_single(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="run one job and print a full analysis")
-    _add_common(p_rep)
-    p_rep.add_argument("--strategy", choices=STRATEGY_NAMES, default="dualpar-forced")
+    _add_single(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
     p_cmp = sub.add_parser("compare", help="same workload under several strategies")

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
+from math import inf, nextafter
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
@@ -459,26 +460,8 @@ class Simulator:
         sanitize: Optional[bool] = None,
         observe: Optional["Observability"] = None,
         queue: Union[str, EventQueue, None] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._now: float = 0.0
-        # -- sharding degree -------------------------------------------
-        # The kernel itself is strictly single-threaded; ``workers``
-        # records the *intended* sharding degree for the conservative
-        # parallel-DES layer (repro.sim.pdes), which partitions a model
-        # into logical processes each owning a Simulator like this one.
-        # None defers to REPRO_SIM_WORKERS (default 1 = serial).
-        if workers is None:
-            try:
-                workers = int(os.environ.get("REPRO_SIM_WORKERS", "1") or "1")
-            except ValueError:
-                raise SimulationError(
-                    f"REPRO_SIM_WORKERS={os.environ['REPRO_SIM_WORKERS']!r} "
-                    "is not an integer"
-                ) from None
-        if not isinstance(workers, int) or workers < 1:
-            raise SimulationError(f"workers must be a positive int, got {workers!r}")
-        self.workers: int = workers
         self._active: Optional[Process] = None
         #: Monotone per-dispatch counter fed to the sanitizer's
         #: ``on_dispatch`` hook as the schedule sequence number.
@@ -660,15 +643,11 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
+        horizon = inf if until is None else until
         if self._accel is not None and self._sanitizer is None:
-            drained = self._accel.run(
-                self,
-                self._queue,
-                self._pool,
-                float("inf") if until is None else until,
-            )
+            drained = self._accel.run(self, self._queue, self._pool, horizon)
         else:
-            drained = self._run_py(until)
+            drained = self._dispatch(horizon)[1]
         if until is not None:
             self._now = max(self._now, until)
             if self._accel is not None:
@@ -679,21 +658,65 @@ class Simulator:
             self._sanitizer.on_quiescent(self._now)
         return self._now
 
-    def _run_py(self, until: Optional[float]) -> bool:
-        """Pure-Python cohort dispatch loop; True when the schedule drained."""
+    def run_below(self, limit: float) -> int:
+        """Dispatch every scheduled event with time strictly below ``limit``.
+
+        The conservative parallel-DES horizon primitive (see
+        :mod:`repro.sim.pdes`): a logical process may safely execute all
+        local events earlier than its input horizon, but never an event
+        *at* the horizon -- a message could still arrive there.  Events at
+        ``t >= limit`` stay queued untouched.  Returns the number of
+        events dispatched (the window's committed-event count).
+
+        Unlike :meth:`run`, the clock is left at the last dispatched
+        event and no quiescence check runs -- the caller owns the loop.
+        """
+        # For floats, ``t < limit`` is exactly ``t <=`` the next float
+        # down, so the shared loop's inclusive horizon serves here too.
+        return self._dispatch(nextafter(limit, -inf))[0]
+
+    def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
+        """Run until ``event`` is processed; return its value.
+
+        Raises the event's exception if it failed, or
+        :class:`SimulationError` if the schedule drains or ``limit`` is
+        reached first.
+        """
+        if self._accel is not None and self._sanitizer is None:
+            self._accel.run_until(self, self._queue, self._pool, event, limit)
+        elif not event._processed:
+            if self._dispatch(limit, event)[1]:
+                raise SimulationError("schedule drained before event fired (deadlock?)")
+            if not event._processed:
+                raise SimulationError(f"time limit {limit} reached before event fired")
+        if not event._ok:
+            raise event._value
+        return event._value
+
+    def _dispatch(
+        self, until: float, target: Optional[Event] = None
+    ) -> tuple[int, bool]:
+        """The pure-Python cohort dispatch loop (the C drive in ``_cq.c``
+        mirrors it).
+
+        Dispatches every band with time ``<= until``, stopping right after
+        ``target`` is processed and requeueing the rest of its band.
+        Returns ``(events dispatched, schedule drained)``.
+        """
         q = self._queue
         pool = self._pool
         san = self._sanitizer
         accel = self._accel
         pop = q.pop_cohort
+        n = 0
         while True:
             band = pop()
             if band is None:
-                return True
+                return n, True
             t, prio, events = band
-            if until is not None and t > until:
+            if t > until:
                 q.requeue_front(t, prio, events)
-                return False
+                return n, False
             self._now = t
             if accel is not None:
                 q.now = t
@@ -734,135 +757,11 @@ class Simulator:
                     except BaseException:
                         q.requeue_front(t, prio, events)
                         raise
-
-    def run_below(self, limit: float) -> int:
-        """Dispatch every scheduled event with time strictly below ``limit``.
-
-        The conservative parallel-DES horizon primitive (see
-        :mod:`repro.sim.pdes`): a logical process may safely execute all
-        local events earlier than its input horizon, but never an event
-        *at* the horizon -- a message could still arrive there.  Events at
-        ``t >= limit`` stay queued untouched.  Returns the number of
-        events dispatched (the window's committed-event count).
-
-        Unlike :meth:`run`, the clock is left at the last dispatched
-        event and no quiescence check runs -- the caller owns the loop.
-        """
-        q = self._queue
-        pool = self._pool
-        san = self._sanitizer
-        accel = self._accel
-        pop = q.pop_cohort
-        n_dispatched = 0
-        while True:
-            band = pop()
-            if band is None:
-                return n_dispatched
-            t, prio, events = band
-            if t >= limit:
-                q.requeue_front(t, prio, events)
-                return n_dispatched
-            self._now = t
-            if accel is not None:
-                q.now = t
-            i = 0
-            while i < len(events):
-                event = events[i]
-                events[i] = None
-                i += 1
-                if san is not None:
-                    self._dispatch_seq += 1
-                    san.on_dispatch(t, prio, self._dispatch_seq, event)
-                n_dispatched += 1
-                if event.__class__ is Timeout:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    try:
-                        for cb in callbacks:  # type: ignore[union-attr]
-                            cb(event)
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                    if (
-                        pool is not None
-                        and getrefcount(event) == 2
-                        and len(pool) < _POOL_MAX
-                    ):
-                        pool.append(event)
-                else:
-                    try:
-                        event._process()
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-
-    def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` is processed; return its value.
-
-        Raises the event's exception if it failed, or
-        :class:`SimulationError` if the schedule drains or ``limit`` is
-        reached first.
-        """
-        if self._accel is not None and self._sanitizer is None:
-            self._accel.run_until(self, self._queue, self._pool, event, limit)
-        else:
-            self._run_until_py(event, limit)
-        if not event._ok:
-            raise event._value
-        return event._value
-
-    def _run_until_py(self, event: Event, limit: float) -> None:
-        q = self._queue
-        pool = self._pool
-        san = self._sanitizer
-        accel = self._accel
-        pop = q.pop_cohort
-        while not event._processed:
-            band = pop()
-            if band is None:
-                raise SimulationError("schedule drained before event fired (deadlock?)")
-            t, prio, events = band
-            if t > limit:
-                q.requeue_front(t, prio, events)
-                raise SimulationError(f"time limit {limit} reached before event fired")
-            self._now = t
-            if accel is not None:
-                q.now = t
-            i = 0
-            while i < len(events):
-                ev = events[i]
-                events[i] = None
-                i += 1
-                if san is not None:
-                    self._dispatch_seq += 1
-                    san.on_dispatch(t, prio, self._dispatch_seq, ev)
-                if ev.__class__ is Timeout:
-                    callbacks = ev.callbacks
-                    ev.callbacks = None
-                    ev._processed = True
-                    try:
-                        for cb in callbacks:  # type: ignore[union-attr]
-                            cb(ev)
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                    if (
-                        pool is not None
-                        and getrefcount(ev) == 2
-                        and len(pool) < _POOL_MAX
-                    ):
-                        pool.append(ev)
-                else:
-                    try:
-                        ev._process()
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                if event._processed:
+                if event is target:
                     if events:
                         q.requeue_front(t, prio, events)
-                    return
+                    return n + i, False
+            n += i
 
     # -- internals ---------------------------------------------------------
 

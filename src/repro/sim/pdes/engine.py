@@ -235,7 +235,7 @@ class PdesEngine:
         #: Shared simulator in serial mode, else None.
         self.sim: Optional[Simulator] = None
         if workers == 0:
-            self.sim = Simulator(observe=observe, workers=1)
+            self.sim = Simulator(observe=observe)
 
     # -- graph construction --------------------------------------------
 
@@ -243,7 +243,7 @@ class PdesEngine:
         """Create a logical process; in windowed modes it owns a fresh sim."""
         if any(lp.name == name for lp in self.lps):
             raise PdesError(f"duplicate LP name {name!r}")
-        sim = self.sim if self.sim is not None else Simulator(workers=1)
+        sim = self.sim if self.sim is not None else Simulator()
         lp = LogicalProcess(self, len(self.lps), name, sim)
         self.lps.append(lp)
         return lp

@@ -86,6 +86,20 @@ def test_parser_requires_command():
         make_parser().parse_args([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--trace-out", "t.json"],  # compare cells run in workers
+        ["run", "--workers", "4"],  # the cluster model is serial-only
+        ["report", "--workers", "4"],
+        ["compare", "--workers", "4"],
+    ],
+)
+def test_parser_rejects_options_a_command_lacks(argv):
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(argv)
+
+
 def test_run_with_elevator_option(capsys):
     rc = main(
         [

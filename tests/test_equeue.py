@@ -21,7 +21,12 @@ Two layers of evidence:
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,7 @@ from repro.sim import core as sim_core
 
 NORMAL = sim_core.NORMAL
 URGENT = sim_core.URGENT
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # Collision-heavy time grid: duplicate timestamps, sub-width fractions,
 # values far beyond the initial wheel horizon, and past-1e300 entries
@@ -202,28 +208,205 @@ def test_interrupt_cancel_rearm_identical_across_queues():
         assert run(sim_core._CQ.CalQ()) == reference
 
 
+class _Boom(Exception):
+    """Raised by a callback in the middle of a cohort."""
+
+
+def _entry_point_workload(sim):
+    """A seeded workload mixing Timeout and generic events, joins, an
+    interrupt and callbacks that raise mid-cohort.  Returns the shared
+    log and marker timeouts, one per grid step, each first in its
+    cohort (``run_until_event`` targets that stop mid-cohort)."""
+    marks = [sim.timeout(0.25 * k) for k in range(1, 12)]
+    rng = Random(20261017)
+    grid = [0.0, 0.25, 0.25, 0.5, 0.75, 1.0]
+    delays = [[rng.choice(grid) for _ in range(6)] for _ in range(8)]
+    log: list = []
+
+    def worker(i):
+        for j, d in enumerate(delays[i]):
+            try:
+                if j == 3 and i % 3 == 0:
+                    ev = sim.event()
+                    ev.succeed((i, j))
+                    yield ev
+                else:
+                    yield sim.timeout(d)
+            except Interrupt as it:
+                log.append((sim.now, i, j, "int", it.cause))
+            log.append((sim.now, i, j))
+
+    procs = [sim.process(worker(i)) for i in range(8)]
+
+    def joiner():
+        for p in procs[:3]:
+            yield p
+            log.append((sim.now, "joined", procs.index(p)))
+
+    def explode(ev):
+        log.append((sim.now, "boom", type(ev).__name__))
+        raise _Boom
+
+    def bomber():
+        yield sim.timeout(0.5)
+        procs[4].interrupt(cause="poke")
+        # A raising Timeout with a later one of the same cohort behind it.
+        sim.timeout(0.5).callbacks.append(explode)
+        yield sim.timeout(0.5)
+        log.append((sim.now, "after boom", "Timeout"))
+        # The same on the generic event path.
+        bang = sim.event()
+        bang.callbacks.append(explode)
+        bang.succeed()
+        yield sim.event().succeed()
+        log.append((sim.now, "after boom", "Event"))
+
+    sim.process(joiner())
+    sim.process(bomber())
+    return log, marks
+
+
+def _retrying(call):
+    """Call ``call`` again after each _Boom until it returns."""
+    while True:
+        try:
+            return call()
+        except _Boom:
+            continue
+
+
+def _drive_run(sim, marks):
+    _retrying(sim.run)
+
+
+def _drive_run_until_steps(sim, marks):
+    for k in range(1, 20):
+        until = 0.25 * k
+        _retrying(lambda: sim.run(until=until))
+        assert sim.now == until and sim.peek() > until
+    _retrying(sim.run)
+
+
+def _drive_run_below_windows(sim, marks):
+    for k in range(1, 20):
+        limit = 0.25 * k
+        _retrying(lambda: sim.run_below(limit))
+        assert sim.now < limit <= sim.peek()
+    _retrying(lambda: sim.run_below(float("inf")))
+
+
+def _drive_run_until_event(sim, marks):
+    for ev in marks:
+        _retrying(lambda: sim.run_until_event(ev))
+        assert ev.processed and sim.now == ev.delay
+    _retrying(sim.run)
+
+
+def _drive_step(sim, marks):
+    while sim.peek() < float("inf"):
+        try:
+            sim.step()
+        except _Boom:
+            pass
+
+
+ENTRY_POINTS = {
+    "run": _drive_run,
+    "run-until-steps": _drive_run_until_steps,
+    "run-below-windows": _drive_run_below_windows,
+    "run-until-event": _drive_run_until_event,
+    "step": _drive_step,
+}
+
+
+def _entry_point_queues():
+    queues = {
+        "heap": lambda: {"queue": "heap"},
+        "calendar-4x0.25": lambda: {"queue": CalendarQueue(4, 0.25)},
+        "sanitized": lambda: {"queue": "calendar", "sanitize": True},
+    }
+    if sim_core._CQ is not None:
+        queues["calq-c"] = lambda: {"queue": sim_core._CQ.CalQ()}
+    return queues
+
+
+def _entry_point_log(queue, entry):
+    sim = Simulator(**_entry_point_queues()[queue]())
+    log, marks = _entry_point_workload(sim)
+    ENTRY_POINTS[entry](sim, marks)
+    assert len(sim._queue) == 0
+    return log
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("queue", sorted(_entry_point_queues()))
+def test_entry_points_dispatch_in_the_same_order(queue, entry):
+    """run(), run(until=) in steps, run_below() in windows,
+    run_until_event() and a step() loop dispatch one seeded workload in
+    the same order on every queue -- including the remainder of a cohort
+    requeued after a callback raised in its middle."""
+    reference = _entry_point_log("heap", "run")
+    # Both raises land mid-cohort and the rest of the cohort still runs.
+    for kind in ("Timeout", "Event"):
+        boom = reference.index((1.0, "boom", kind))
+        assert boom < reference.index((1.0, "after boom", kind))
+    assert any(e[3:4] == ("int",) for e in reference)
+    assert _entry_point_log(queue, entry) == reference
+
+
+def _experiment_measurements():
+    """Job measurements and disk traces of a small figure-style cell."""
+    res = run_experiment(
+        [JobSpec("m", 8, MpiIoTest(file_size=4 * 1024 * 1024, op="R"))],
+        cluster_spec=paper_spec(n_compute_nodes=8, trace_disks=True),
+    )
+    jobs = [asdict(j) for j in res.jobs]
+    traces = [
+        [(r.time, r.lbn, r.nsectors) for r in t.records] if t is not None else None
+        for t in res.cluster.traces
+    ]
+    return jobs, traces
+
+
+#: The accel-off leg: the accelerator is chosen when repro.sim.core is
+#: imported, so it must run in an interpreter that starts with
+#: REPRO_SIM_ACCEL=0 set.
+_ACCEL_OFF_LEG = """
+from repro.sim import CalendarQueue, Simulator
+from repro.sim import core
+from tests.test_equeue import _experiment_measurements
+
+assert core._CQ is None, core._CQ
+assert type(Simulator()._queue) is CalendarQueue, type(Simulator()._queue)
+print(repr(_experiment_measurements()))
+"""
+
+
 def test_experiment_bit_identical_across_event_queue_env(monkeypatch):
     """The determinism-suite acceptance: a real figure-style experiment is
-    bit-identical under ``REPRO_EVENT_QUEUE=heap`` and ``=calendar``."""
-
-    def measurements():
-        res = run_experiment(
-            [JobSpec("m", 8, MpiIoTest(file_size=4 * 1024 * 1024, op="R"))],
-            cluster_spec=paper_spec(n_compute_nodes=8, trace_disks=True),
-        )
-        jobs = [asdict(j) for j in res.jobs]
-        traces = [
-            [(r.time, r.lbn, r.nsectors) for r in t.records] if t is not None else None
-            for t in res.cluster.traces
-        ]
-        return jobs, traces
-
+    bit-identical under ``REPRO_EVENT_QUEUE=heap``, ``=calendar`` and the
+    no-compiler default (``REPRO_SIM_ACCEL=0``: pure-Python calendar and
+    the Python dispatch loop)."""
     monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    heap = measurements()
+    heap = _experiment_measurements()
     monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    assert measurements() == heap
-    monkeypatch.setenv("REPRO_SIM_ACCEL", "0")
-    assert measurements() == heap
+    assert _experiment_measurements() == heap
+
+    env = {
+        **os.environ,
+        "REPRO_SIM_ACCEL": "0",
+        "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)]),
+    }
+    del env["REPRO_EVENT_QUEUE"]
+    off = subprocess.run(
+        [sys.executable, "-c", _ACCEL_OFF_LEG],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO),
+    )
+    assert off.returncode == 0, off.stderr
+    assert off.stdout.strip() == repr(heap)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import Simulator
 from repro.sim.pdes import (
     CellParams,
     PdesEngine,
@@ -109,7 +109,7 @@ def test_run_preconditions():
         eng2.run()
 
 
-# -- Simulator.run_below / workers plumbing ------------------------------
+# -- Simulator.run_below ------------------------------------------------
 
 
 def test_run_below_dispatches_strictly_below_limit():
@@ -131,21 +131,6 @@ def test_run_below_dispatches_strictly_below_limit():
     assert sim.now == 3.0
     # Idempotent on an empty queue.
     assert sim.run_below(float("inf")) == 0
-
-
-def test_simulator_workers_validation(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_WORKERS", raising=False)
-    assert Simulator().workers == 1
-    assert Simulator(workers=4).workers == 4
-    for bad in (0, -2, 2.5, "three"):
-        with pytest.raises(SimulationError):
-            Simulator(workers=bad)  # type: ignore[arg-type]
-    monkeypatch.setenv("REPRO_SIM_WORKERS", "8")
-    assert Simulator().workers == 8
-    assert Simulator(workers=2).workers == 2  # explicit beats env
-    monkeypatch.setenv("REPRO_SIM_WORKERS", "zeppelin")
-    with pytest.raises(SimulationError):
-        Simulator()
 
 
 # -- scripted lockstep interpreter across modes --------------------------
@@ -379,44 +364,7 @@ def test_cell_observed_run_is_bit_identical():
     assert "pdes.deliver" in names
 
 
-# -- wiring: runner, fingerprint, CLI, gate ------------------------------
-
-
-def _tiny_job():
-    from repro import JobSpec, MpiIoTest
-
-    return JobSpec("j", 4, MpiIoTest(file_size=1 << 20), strategy="vanilla")
-
-
-def test_run_experiment_workers_falls_back_serially():
-    from repro import run_experiment
-    from repro.cluster import paper_spec
-    from repro.obs import Observability
-
-    spec = paper_spec(n_compute_nodes=2, n_data_servers=2)
-    obs = Observability()
-    sharded = run_experiment(
-        [_tiny_job()], cluster_spec=spec, observe=obs, workers=4
-    )
-    plain = run_experiment([_tiny_job()], cluster_spec=spec)
-    assert sharded.makespan_s == plain.makespan_s
-    assert sharded.metrics is not None
-    assert sharded.metrics["counters"]["pdes.fallback"] == 1
-    # A one-worker run is the plain serial kernel: no fallback recorded.
-    obs2 = Observability()
-    one = run_experiment([_tiny_job()], cluster_spec=spec, observe=obs2, workers=1)
-    assert one.metrics is not None
-    assert "pdes.fallback" not in one.metrics["counters"]
-
-
-def test_fingerprint_keys_on_workers():
-    from repro.runner.parallel import ExperimentSpec, experiment_fingerprint
-
-    default = experiment_fingerprint(ExperimentSpec([_tiny_job()]))
-    one = experiment_fingerprint(ExperimentSpec([_tiny_job()], workers=1))
-    four = experiment_fingerprint(ExperimentSpec([_tiny_job()], workers=4))
-    assert default == one  # workers=1 is the plain serial kernel
-    assert four != default
+# -- wiring: CLI, gate ---------------------------------------------------
 
 
 def test_cli_pdes_verify_json(tmp_path, capsys, monkeypatch):
@@ -449,6 +397,18 @@ def test_cli_pdes_verify_json(tmp_path, capsys, monkeypatch):
     assert legs[0]["digest"] == legs[1]["digest"]
     assert legs[1]["stats"]["mode"] == "sharded"
     assert digest_file.read_text().strip() == legs[0]["digest"]
+
+
+@pytest.mark.parametrize("value", ["zeppelin", "2.5", "-1"])
+def test_cli_pdes_rejects_bad_worker_env(value, capsys, monkeypatch):
+    """A mistyped REPRO_SIM_WORKERS must fail, not silently run one worker."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_SIM_WORKERS", value)
+    assert main(["pdes", "--verify", "--size-mb", "1"]) != 0
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert captured.err.strip()
 
 
 def test_check_pdes_gate(tmp_path):
