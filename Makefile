@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-heap test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-kernel bench-gate bench-pdes pdes-gate ci-local examples results clean
+.PHONY: install test test-fast test-heap test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-kernel bench-gate bench-pdes pdes-gate perfbench-test ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -110,8 +110,14 @@ bench-pdes:
 pdes-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/check_pdes.py
 
+# The repository benchmark's correctness suite: workload digests and pfs
+# byte counts must match perfbench/reference.json (same as the CI job).
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
+
 # Replay the CI gates locally: lint legs, tier-1 tests, the determinism
-# jobs' suites, the pdes worker-count matrix, and both bench gates.
+# jobs' suites, the pdes worker-count matrix, both bench gates and the
+# repository benchmark's correctness suite.
 ci-local: lint own
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
@@ -123,6 +129,7 @@ ci-local: lint own
 	REPRO_SANITIZE_OWNERSHIP=1 REPRO_SIM_WORKERS=2 PYTHONPATH=src $(PYTHON) -m repro pdes --verify
 	$(PYTHON) benchmarks/check_regression.py
 	PYTHONPATH=src $(PYTHON) benchmarks/check_pdes.py
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.
 results:

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.cache.chunk import ChunkKey, chunk_range
 from repro.mpi.ops import Segment
 from repro.mpiio.datasieve import coalesce_segments
-from repro.mpiio.listio import batch_io
 from repro.sim import all_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -228,7 +227,7 @@ class Crm:
             merged = coalesce_segments(segs, hole_threshold=hole)
             total = sum(s.length for s in merged)
             if self.config.use_list_io:
-                yield from batch_io(client, f, merged, "R", stream_id)
+                yield from client.io_list(f, merged, "R", stream_id)
             else:
                 for seg in merged:
                     yield from client.io(f, seg.offset, seg.length, "R", stream_id)
@@ -322,9 +321,9 @@ class Crm:
             to_write = merged
             if covered > requested:
                 # Holes bridged: read-modify-write the covering extents.
-                yield from batch_io(client, f, merged, "R", stream_id)
+                yield from client.io_list(f, merged, "R", stream_id)
             if self.config.use_list_io:
-                yield from batch_io(client, f, to_write, "W", stream_id)
+                yield from client.io_list(f, to_write, "W", stream_id)
             else:
                 for seg in to_write:
                     yield from client.io(f, seg.offset, seg.length, "W", stream_id)

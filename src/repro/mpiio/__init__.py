@@ -13,21 +13,20 @@ Execution engines interpret a job's I/O operations:
 - DualPar itself lives in :mod:`repro.core.engine`, built on this layer.
 
 Shared machinery: :mod:`repro.mpiio.datasieve` (coalescing with hole
-bridging) and :mod:`repro.mpiio.listio` (batched per-server requests).
+bridging).  Batched per-server requests (list I/O) are the PFS client's
+:meth:`~repro.pfs.client.PfsClient.io_list`.
 """
 
 from repro.mpiio.engine import IndependentEngine, IoEngine
 from repro.mpiio.collective import CollectiveEngine
 from repro.mpiio.prefetch import PreexecPrefetchEngine
 from repro.mpiio.datasieve import coalesce_segments, coverage_stats
-from repro.mpiio.listio import batch_io
 
 __all__ = [
     "CollectiveEngine",
     "IndependentEngine",
     "IoEngine",
     "PreexecPrefetchEngine",
-    "batch_io",
     "coalesce_segments",
     "coverage_stats",
 ]

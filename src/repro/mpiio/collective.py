@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Generator
 from repro.mpi.ops import IoOp, Segment
 from repro.mpiio.datasieve import coalesce_segments
 from repro.mpiio.engine import IndependentEngine
-from repro.mpiio.listio import batch_io
 from repro.sim import Event, all_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -224,11 +223,11 @@ class CollectiveEngine(IndependentEngine):
 
         for group in rounds:
             if io_kind == "R":
-                yield from batch_io(client, f, group, "R", agg_proc.stream_id)
+                yield from client.io_list(f, group, "R", agg_proc.stream_id)
                 yield from exchange("to_ranks", group)
             else:
                 yield from exchange("to_agg", group)
                 if has_holes:
                     # Read-modify-write: fetch covering extents first.
-                    yield from batch_io(client, f, group, "R", agg_proc.stream_id)
-                yield from batch_io(client, f, group, "W", agg_proc.stream_id)
+                    yield from client.io_list(f, group, "R", agg_proc.stream_id)
+                yield from client.io_list(f, group, "W", agg_proc.stream_id)

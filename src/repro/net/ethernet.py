@@ -1,15 +1,19 @@
 """Bandwidth/latency network with per-NIC serialisation.
 
-Transfer model (cut-through): a message of ``n`` bytes from A to B
+Transfer model: a message of ``n`` bytes from A to B
 
-1. waits for A's TX side, holding it for ``overhead + n / bandwidth``;
-2. propagates for ``latency``;
-3. waits for B's RX side, holding it for ``n / bandwidth``.
+1. waits for A's TX side, then for B's RX side (in that order, so holds
+   never form a cycle);
+2. holds both for one wire charge of ``overhead + latency + n / bandwidth``;
+3. releases both.
 
-TX is released before the RX hold, so a fast sender can pipeline messages
-to distinct receivers while a busy receiver back-pressures its own queue.
-This keeps end-to-end time = ``overhead + latency + n/bw`` when idle and
-produces fan-in queueing when many clients target one server.
+End-to-end time is ``overhead + latency + n/bw`` when idle.  A busy
+receiver queues its senders, which keep their TX held while they wait,
+so many clients targeting one server produce fan-in queueing at both
+ends.  Holding both NICs at once couples sender and receiver with zero
+lookahead, which is why this model runs on one serial simulator.
+Under fault injection, a partition wait and injected latency come first,
+before either NIC is held.
 """
 
 from __future__ import annotations

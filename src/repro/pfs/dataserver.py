@@ -3,8 +3,10 @@
 Each incoming request names a file, a byte range *within the server's
 object* for that file, and the issuing stream.  The server translates to
 LBNs using the file's extent, splits into <= ``max_io_bytes`` block
-requests, submits them all at once (so the elevator sees the full batch),
-and replies when the last completes.
+requests, submits them back to back (so the elevator sees the full batch;
+a thread waits only while the queue is congested), and replies when the
+last completes.  A list-I/O request (:meth:`DataServer.handle_list`)
+services each of its pieces this way, all at once.
 
 The :class:`LocalityDaemon` is DualPar's per-server agent: every
 ``interval`` it snapshots the mean head seek distance over the elapsed
@@ -19,6 +21,7 @@ from typing import Optional
 from repro.disk.drive import BlockDevice
 from repro.iosched.blocklayer import BlockLayer
 from repro.net.ethernet import Network
+from repro.obs.tracing import NULL_SPAN
 from repro.pfs.filesystem import FileSystem
 from repro.sim import Event, Interrupt, Simulator, all_of
 
@@ -38,10 +41,13 @@ MEMCPY_BYTES_S = 3e9
 
 
 def _absorb_interrupt(gen):
-    """Run a service generator, ending quietly if the server crashes
-    under it.  Ending via StopIteration (not a failure) matters: the
-    client side may hold this process inside ``any_of``/``all_of``
-    combinators, which propagate constituent *failures*."""
+    """Run ``gen``, ending quietly if it is interrupted: a server crash
+    under a service process, or a client timeout abandoning an attempt.
+
+    Ending via StopIteration (not a failure) matters: the process may sit
+    inside ``any_of``/``all_of`` combinators, which propagate constituent
+    *failures* -- even after the combinator already fired.
+    """
     try:
         yield from gen
     except Interrupt:
@@ -259,54 +265,55 @@ class DataServer:
         data is on disk (write) or read off the platters (read).
 
         Network transfer of the payload is the *client's* side of the
-        conversation -- see :class:`~repro.pfs.client.PfsClient`.
+        conversation -- see :meth:`~repro.pfs.client.PfsClient._rpc`.
 
         A crashed server black-holes the request: the event never fires
         and the fault-aware client's timeout/retry path takes over.
         """
+        return self._accept("handle", self._service, req, 1, f"ds{self.server_index}-svc")
+
+    def handle_list(self, reqs: list[ServerRequest]) -> Event:
+        """List I/O: many object ranges delivered in ONE request message.
+
+        All pieces hit the block layer together, so the elevator sees the
+        whole batch at once -- the mechanism DualPar's CRM and collective
+        aggregators rely on for deep, sortable queues.
+        """
+        return self._accept(
+            "handle_list", self._service_list, reqs, len(reqs), f"ds{self.server_index}-list"
+        )
+
+    def _accept(self, entry: str, service, reqs, n: int, name: str) -> Event:
+        """The shared accept step: ownership check, crash black hole (``n``
+        requests dropped), else one ``service(reqs, done)`` process."""
         if self._ownership is not None:
-            self._ownership.check(self, "handle")
+            self._ownership.check(self, entry)
         done = self.sim.event()
         if self.crashed:
-            self.n_dropped_requests += 1
+            self.n_dropped_requests += n
             return done
-        self._spawn(self._service(req, done), name=f"ds{self.server_index}-svc")
+        self._spawn(service(reqs, done), name=name)
         return done
 
-    def _submit_blocks(self, req: ServerRequest, is_async: bool = False) -> list[Event]:
-        """Translate one object range to block requests; submit them all.
-
-        Does NOT honour queue congestion -- use :meth:`_submit_blocks_throttled`
-        from generator contexts that may flood the elevator.
-        """
-        san = self.sim._sanitizer
-        if san is not None:
-            san.on_server_dispatch(self)
-        # simown: shared[namespace read; layout immutable after create]
-        f = self.fs.lookup(req.file_name)
-        lbn = f.lbn_of(self.server_index, req.object_offset)
-        nsectors_total = -(-req.length // 512)
-        max_sectors = self.max_io_bytes // 512
-        completions = []
-        pos = 0
-        while pos < nsectors_total:
-            take = min(max_sectors, nsectors_total - pos)
-            completions.append(
-                self.block_layer.submit(
-                    lbn + pos,
-                    take,
-                    op=req.op,
-                    stream_id=self._io_context(req.stream_id),
-                    is_async=is_async,
-                    trace_id=req.trace_id,
-                )
-            )
-            pos += take
-        return completions
+    def _complete(self, reqs, done: Event) -> None:
+        """Commit and account serviced ``reqs``, then notify the client."""
+        nbytes = 0
+        for r in reqs:
+            self._commit(r)
+            nbytes += r.length
+        self.n_requests += len(reqs)
+        self.bytes_served += nbytes
+        m = self._metrics
+        if m is not None:
+            m.requests.inc(len(reqs))
+            for r in reqs:
+                (m.bytes_read if r.op == "R" else m.bytes_written).inc(r.length)
+        done.succeed(self.sim.now)
 
     def _submit_blocks_throttled(self, req: ServerRequest, is_async: bool = False):
-        """Like :meth:`_submit_blocks`, but a server thread sleeping in
-        ``get_request_wait`` when the elevator queue is congested
+        """Translate one object range to <= ``max_io_bytes`` block requests
+        and submit them, the server thread sleeping in
+        ``get_request_wait`` while the elevator queue is congested
         (nr_requests).  Generator; returns the completion-event list."""
         san = self.sim._sanitizer
         if san is not None:
@@ -455,9 +462,9 @@ class DataServer:
     def _service(self, req: ServerRequest, done: Event):
         sim = self.sim
         tr = self._tracer
-        if tr is not None:
-            # Async span: many server requests overlap on one server track.
-            with tr.span(
+        # Async span: many server requests overlap on one server track.
+        span = (
+            tr.span(
                 "pfs.server",
                 track=f"ds{self.server_index}",
                 cat="pfs",
@@ -467,44 +474,20 @@ class DataServer:
                 length=req.length,
                 file=req.file_name,
                 lp=f"server:ds{self.server_index}",
-            ):
-                yield sim.timeout(REQUEST_CPU_S)
-                yield from self._perform_io(req)
-        else:
+            )
+            if tr is not None
+            else NULL_SPAN
+        )
+        with span:
             yield sim.timeout(REQUEST_CPU_S)
             yield from self._perform_io(req)
-        self._commit(req)
-        self.n_requests += 1
-        self.bytes_served += req.length
-        m = self._metrics
-        if m is not None:
-            m.requests.inc()
-            (m.bytes_read if req.op == "R" else m.bytes_written).inc(req.length)
-        done.succeed(sim.now)
-
-    # ------------------------------------------------------------------
-
-    def handle_list(self, reqs: list[ServerRequest]) -> Event:
-        """List I/O: many object ranges delivered in ONE request message.
-
-        All pieces hit the block layer together, so the elevator sees the
-        whole batch at once -- the mechanism DualPar's CRM and collective
-        aggregators rely on for deep, sortable queues.
-        """
-        if self._ownership is not None:
-            self._ownership.check(self, "handle_list")
-        done = self.sim.event()
-        if self.crashed:
-            self.n_dropped_requests += len(reqs)
-            return done
-        self._spawn(self._service_list(reqs, done), name=f"ds{self.server_index}-list")
-        return done
+        self._complete((req,), done)
 
     def _service_list(self, reqs: list[ServerRequest], done: Event):
         sim = self.sim
         tr = self._tracer
-        if tr is not None:
-            with tr.span(
+        span = (
+            tr.span(
                 "pfs.server_list",
                 track=f"ds{self.server_index}",
                 cat="pfs",
@@ -513,30 +496,16 @@ class DataServer:
                 pieces=len(reqs),
                 bytes=sum(r.length for r in reqs),
                 lp=f"server:ds{self.server_index}",
-            ):
-                yield from self._service_list_body(reqs)
-        else:
-            yield from self._service_list_body(reqs)
-        for r in reqs:
-            self._commit(r)
-        self.n_requests += len(reqs)
-        total = sum(r.length for r in reqs)
-        self.bytes_served += total
-        m = self._metrics
-        if m is not None:
-            m.requests.inc(len(reqs))
-            for r in reqs:
-                (m.bytes_read if r.op == "R" else m.bytes_written).inc(r.length)
-        done.succeed(sim.now)
-
-    def _service_list_body(self, reqs: list[ServerRequest]):
-        sim = self.sim
-        yield sim.timeout(REQUEST_CPU_S + LIST_PIECE_CPU_S * len(reqs))
-        pieces = [
-            self._spawn(self._perform_io(req), name=f"ds{self.server_index}-piece")
-            for req in reqs
-        ]
-        yield all_of(sim, pieces)
+            )
+            if tr is not None
+            else NULL_SPAN
+        )
+        with span:
+            yield sim.timeout(REQUEST_CPU_S + LIST_PIECE_CPU_S * len(reqs))
+            name = f"ds{self.server_index}-piece"
+            pieces = [self._spawn(self._perform_io(req), name=name) for req in reqs]
+            yield all_of(sim, pieces)
+        self._complete(reqs, done)
 
 
 class LocalityDaemon:

@@ -15,8 +15,8 @@ Public API
   completion.
 - :class:`Interrupt` -- exception thrown into an interrupted process.
 - :class:`Resource`, :class:`PriorityResource` -- capacity-limited servers.
-- :class:`Store`, :class:`FilterStore` -- producer/consumer buffers.
-- :class:`Gate`, :class:`SimBarrier`, :class:`Semaphore` -- synchronisation.
+- :class:`Store` -- producer/consumer buffer.
+- :class:`SimBarrier` -- n-party reusable barrier.
 - :func:`all_of`, :func:`any_of` -- condition events.
 """
 
@@ -31,25 +31,17 @@ from repro.sim.core import (
     any_of,
 )
 from repro.sim.equeue import CalendarQueue, HeapQueue
-from repro.sim.resources import (
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
-from repro.sim.sync import Gate, Semaphore, SimBarrier
+from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.sync import SimBarrier
 
 __all__ = [
     "CalendarQueue",
     "Event",
-    "FilterStore",
     "HeapQueue",
-    "Gate",
     "Interrupt",
     "PriorityResource",
     "Process",
     "Resource",
-    "Semaphore",
     "SimBarrier",
     "SimulationError",
     "Simulator",

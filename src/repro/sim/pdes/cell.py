@@ -14,8 +14,8 @@ partitions the model along the domains of ``docs/partition_map.json``:
   placed there (``rank % n_client_nodes``);
 - ``meta`` -- the coordinator LP: metadata opens and the job barrier.
 
-Cross-LP calls of the serial model (``PfsClient._do_piece`` ->
-``DataServer.handle``, ``MetadataServer.rpc_*``) become timestamped
+Cross-LP calls of the serial model (``PfsClient._rpc`` ->
+``DataServer.handle``/``handle_list``, ``MetadataServer.rpc_*``) become timestamped
 channel messages.  The network is re-expressed in *split-phase*
 store-and-forward form so every resource hold is LP-local: the sender
 holds its own NIC TX for ``overhead + n/bandwidth``, the message

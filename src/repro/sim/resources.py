@@ -8,7 +8,6 @@ These follow SimPy semantics closely enough to be familiar:
   by a caller-supplied priority (lower first), FIFO within a priority.
 - :class:`Store` -- unbounded-or-bounded FIFO buffer of items with ``put``
   and ``get`` events.
-- :class:`FilterStore` -- Store whose ``get`` takes a predicate.
 
 When the owning simulator sanitizes (``REPRO_SANITIZE=1`` /
 ``Simulator(sanitize=True)``), every request/grant/release is reported
@@ -20,11 +19,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.sim.core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "PriorityResource", "Store", "FilterStore"]
+__all__ = ["Resource", "PriorityResource", "Store"]
 
 
 class _Request(Event):
@@ -242,44 +241,3 @@ class Store:
                 pev, item = self._putters.popleft()
                 self.items.append(item)
                 pev.succeed()
-
-
-class FilterStore(Store):
-    """Store whose ``get`` may specify a predicate over items."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self._fgetters: deque[tuple[Event, Callable[[Any], bool]]] = deque()  # simlint: ignore[SL006] one entry per waiting process
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:  # type: ignore[override]
-        pred = predicate or (lambda _item: True)
-        ev = Event(self.sim)
-        self._fgetters.append((ev, pred))
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:  # type: ignore[override]
-        while self._putters and len(self.items) < self.capacity:
-            pev, item = self._putters.popleft()
-            self.items.append(item)
-            pev.succeed()
-        served = True
-        while served:
-            served = False
-            for gi, (ev, pred) in enumerate(self._fgetters):
-                match_idx = None
-                for ii, item in enumerate(self.items):
-                    if pred(item):
-                        match_idx = ii
-                        break
-                if match_idx is not None:
-                    item = self.items[match_idx]
-                    del self.items[match_idx]
-                    del self._fgetters[gi]
-                    ev.succeed(item)
-                    served = True
-                    while self._putters and len(self.items) < self.capacity:
-                        pev, pitem = self._putters.popleft()
-                        self.items.append(pitem)
-                        pev.succeed()
-                    break

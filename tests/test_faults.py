@@ -268,7 +268,7 @@ def _one_read(cluster, nbytes=512 * 1024):
     client = cluster.clients[0]
 
     def proc():
-        yield from client.read(f, 0, nbytes, stream_id=1)
+        yield from client.io(f, 0, nbytes, "R", stream_id=1)
 
     t0 = sim.now
     sim.run_until_event(sim.process(proc()))
@@ -437,7 +437,7 @@ def test_server_crash_drops_requests_and_recover_restores():
     assert ds.n_crashes == 1 and ds.n_recoveries == 1
 
     def proc():
-        yield from client.read(f, 0, 64 * 1024, stream_id=1)
+        yield from client.io(f, 0, 64 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     assert client.bytes_read == 64 * 1024

@@ -7,7 +7,6 @@ from repro.disk.drive import DiskParams
 from repro.mpi.ops import Segment
 from repro.mpi.runtime import MpiRuntime
 from repro.mpiio.datasieve import coalesce_segments, coverage_stats
-from repro.mpiio.listio import batch_io
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
 
@@ -75,7 +74,7 @@ def test_coverage_stats_waste():
     assert stats.waste_ratio == pytest.approx(1 / 3)
 
 
-# ---------------------------------------------------------------- list io
+# ------------------------------------------------- list io (PfsClient.io_list)
 
 
 def test_batch_io_reads_all_segments():
@@ -86,7 +85,7 @@ def test_batch_io_reads_all_segments():
     segs = [Segment(i * 256 * 1024, 64 * 1024) for i in range(8)]
 
     def body():
-        yield from batch_io(client, f, segs, "R", stream_id=1)
+        yield from client.io_list(f, segs, "R", stream_id=1)
 
     sim.run_until_event(sim.process(body()))
     assert client.bytes_read == 8 * 64 * 1024
@@ -103,7 +102,7 @@ def test_batch_io_one_message_per_server():
     before = [ds.n_requests for ds in cluster.data_servers]
 
     def body():
-        yield from batch_io(client, f, segs, "R", stream_id=1)
+        yield from client.io_list(f, segs, "R", stream_id=1)
 
     sim.run_until_event(sim.process(body()))
     # Each server received its pieces as one list call: n_requests counts
@@ -119,7 +118,7 @@ def test_batch_io_write():
     client = cluster.clients[0]
 
     def body():
-        yield from batch_io(client, f, [Segment(0, 512 * 1024)], "W", stream_id=1)
+        yield from client.io_list(f, [Segment(0, 512 * 1024)], "W", stream_id=1)
 
     sim.run_until_event(sim.process(body()))
     assert client.bytes_written == 512 * 1024
@@ -130,13 +129,13 @@ def test_batch_io_rejects_out_of_file():
     f = cluster.fs.create("s.dat", 64 * 1024)
     client = cluster.clients[0]
     with pytest.raises(ValueError):
-        list(batch_io(client, f, [Segment(0, 128 * 1024)], "R", 0))
+        list(client.io_list(f, [Segment(0, 128 * 1024)], "R", 0))
 
 
 def test_batch_io_empty_noop():
     cluster = build_cluster(small_spec())
     f = cluster.fs.create("e.dat", 64 * 1024)
-    assert list(batch_io(cluster.clients[0], f, [], "R", 0)) == []
+    assert list(cluster.clients[0].io_list(f, [], "R", 0)) == []
 
 
 # ------------------------------------------------------------ engines

@@ -51,7 +51,6 @@ MODULES = [
     "repro.mpiio.collective",
     "repro.mpiio.prefetch",
     "repro.mpiio.datasieve",
-    "repro.mpiio.listio",
     "repro.core",
     "repro.core.config",
     "repro.core.metrics",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FilterStore, PriorityResource, Resource, SimulationError, Simulator, Store
+from repro.sim import PriorityResource, Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -313,63 +313,3 @@ def test_store_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
-
-
-# ------------------------------------------------------------ FilterStore
-
-
-def test_filter_store_matches_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer():
-        yield store.put(1)
-        yield store.put(3)
-        yield sim.timeout(1)
-        yield store.put(4)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_default_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    store.put("only")
-    got = []
-
-    def consumer():
-        got.append((yield store.get()))
-
-    sim.process(consumer())
-    sim.run()
-    assert got == ["only"]
-
-
-def test_filter_store_multiple_waiters_distinct_predicates():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = {}
-
-    def consumer(name, pred):
-        got[name] = yield store.get(pred)
-
-    sim.process(consumer("even", lambda x: x % 2 == 0))
-    sim.process(consumer("odd", lambda x: x % 2 == 1))
-
-    def producer():
-        yield sim.timeout(1)
-        yield store.put(7)
-        yield store.put(8)
-
-    sim.process(producer())
-    sim.run()
-    assert got == {"even": 8, "odd": 7}

@@ -1,98 +1,8 @@
-"""Unit tests for sync primitives (Gate, SimBarrier, Semaphore)."""
+"""Unit tests for the SimBarrier sync primitive."""
 
 import pytest
 
-from repro.sim import Gate, Semaphore, SimBarrier, SimulationError, Simulator
-
-
-# ------------------------------------------------------------------- Gate
-
-
-def test_gate_open_passes_immediately():
-    sim = Simulator()
-    gate = Gate(sim, opened=True)
-    log = []
-
-    def proc():
-        yield gate.wait()
-        log.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert log == [0]
-
-
-def test_gate_closed_blocks_until_open():
-    sim = Simulator()
-    gate = Gate(sim, opened=False)
-    log = []
-
-    def waiter():
-        yield gate.wait()
-        log.append(sim.now)
-
-    def opener():
-        yield sim.timeout(6)
-        gate.open()
-
-    sim.process(waiter())
-    sim.process(opener())
-    sim.run()
-    assert log == [6]
-
-
-def test_gate_reusable_close_open_cycles():
-    sim = Simulator()
-    gate = Gate(sim, opened=False)
-    log = []
-
-    def worker():
-        for _ in range(3):
-            yield gate.wait()
-            log.append(sim.now)
-            # controller closes it again right after release
-
-    def controller():
-        for t in (1, 2, 3):
-            yield sim.timeout(1)
-            gate.open()
-            gate.close()
-
-    sim.process(worker())
-    sim.process(controller())
-    sim.run()
-    assert log == [1, 2, 3]
-
-
-def test_gate_open_releases_all_waiters():
-    sim = Simulator()
-    gate = Gate(sim, opened=False)
-    released = []
-
-    def waiter(tag):
-        yield gate.wait()
-        released.append(tag)
-
-    for tag in "abc":
-        sim.process(waiter(tag))
-
-    def opener():
-        yield sim.timeout(1)
-        gate.open()
-
-    sim.process(opener())
-    sim.run()
-    assert sorted(released) == ["a", "b", "c"]
-
-
-def test_gate_is_open_flag():
-    sim = Simulator()
-    gate = Gate(sim, opened=False)
-    assert not gate.is_open
-    gate.open()
-    assert gate.is_open
-    gate.close()
-    assert not gate.is_open
+from repro.sim import SimBarrier, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------- Barrier
@@ -165,53 +75,3 @@ def test_barrier_n_waiting():
     sim.process(party())
     sim.run()
     assert bar.n_waiting == 2
-
-
-# --------------------------------------------------------------- Semaphore
-
-
-def test_semaphore_acquire_release():
-    sim = Simulator()
-    sem = Semaphore(sim, value=1)
-    order = []
-
-    def user(tag):
-        yield sem.acquire()
-        order.append(("in", tag, sim.now))
-        yield sim.timeout(2)
-        sem.release()
-
-    sim.process(user("a"))
-    sim.process(user("b"))
-    sim.run()
-    assert order == [("in", "a", 0), ("in", "b", 2)]
-
-
-def test_semaphore_counting():
-    sim = Simulator()
-    sem = Semaphore(sim, value=2)
-    times = []
-
-    def user():
-        yield sem.acquire()
-        times.append(sim.now)
-        yield sim.timeout(3)
-        sem.release()
-
-    for _ in range(4):
-        sim.process(user())
-    sim.run()
-    assert times == [0, 0, 3, 3]
-
-
-def test_semaphore_release_without_waiter_increments():
-    sim = Simulator()
-    sem = Semaphore(sim, value=0)
-    sem.release()
-    assert sem.value == 1
-
-
-def test_semaphore_negative_value_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Semaphore(sim, value=-1)
