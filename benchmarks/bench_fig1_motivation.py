@@ -17,8 +17,6 @@ the paper does); (b) execution time vs segment size at I/O ratio 0.9;
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import (
     Demo,

@@ -23,6 +23,12 @@ simulated cluster (see docs/fault_injection.md), and ``--guard`` attaches
 the safety governor -- memory budgets, benefit governor, circuit breaker,
 and stall watchdog (see docs/degradation.md).
 
+``run``/``report``/``compare`` describe each cell as an
+:class:`~repro.service.ExperimentSubmission` and run what it lowers to,
+so ``repro run`` executes exactly the cell the service would for the same
+knobs.  ``lint`` and ``ownership`` hand their arguments, unparsed, to
+:mod:`repro.devtools.simlint` and :mod:`repro.devtools.ownership`.
+
 The service layer (docs/service.md) adds ``serve`` (run the experiment
 coordinator), ``submit`` / ``status`` (talk to one), and ``catalog``
 (inspect the content-addressed result catalog on disk).
@@ -31,117 +37,62 @@ coordinator), ``submit`` / ``status`` (talk to one), and ``catalog``
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.cluster import ClusterSpec, paper_spec
-from repro.core.config import DualParConfig
-from repro.runner import (
-    ExperimentSpec,
-    JobSpec,
-    format_table,
-    run_experiment,
-    run_experiments,
-)
-from repro.runner.strategies import STRATEGY_NAMES
-from repro.workloads import (
-    Btio,
-    Demo,
-    DependentReads,
-    Hpio,
-    IorMpiIo,
-    MpiIoTest,
-    Noncontig,
-    S3asim,
-    SyntheticPattern,
-    Workload,
-)
+from repro.faults import FaultPlan
+from repro.guard import GuardConfig
+from repro.iosched import SCHEDULERS
+from repro.runner import format_table, run_experiments
+from repro.runner.parallel import run_spec
+from repro.runner.strategies import STRATEGY_DESCRIPTIONS, STRATEGY_NAMES
+from repro.service.coordinator import DEFAULT_QUEUE_CAP_BYTES, DEFAULT_TENANT_CAP_BYTES
+from repro.service.schemas import ClusterSubmission, ExperimentSubmission, JobSubmission
+from repro.workloads import WORKLOADS
 
-__all__ = ["main", "build_workload", "WORKLOADS"]
+__all__ = ["main"]
+
+_MB = 1024 * 1024
+
+#: Subcommands whose arguments go unparsed to the tool module's ``main``.
+_TOOLS = {"lint": "repro.devtools.simlint", "ownership": "repro.devtools.ownership"}
 
 
-def _mb(n: float) -> int:
-    return int(n * 1024 * 1024)
+def _submission(args, strategy: str) -> ExperimentSubmission:
+    """The submission ``run``/``report``/``compare`` flags describe: one
+    ``--workload`` job under ``strategy``, labelled with the strategy.
 
-
-#: name -> (description, builder(size_mb, op, nprocs) -> Workload)
-WORKLOADS: dict[str, tuple[str, Callable[[int, str, int], Workload]]] = {
-    "mpi-io-test": (
-        "globally sequential 16 KB segments, frequent barriers (PVFS2 suite)",
-        lambda size_mb, op, nprocs: MpiIoTest(file_size=_mb(size_mb), op=op),
-    ),
-    "hpio": (
-        "regioned access, 32 KB regions (Northwestern/Sandia)",
-        lambda size_mb, op, nprocs: Hpio(
-            region_count=max(_mb(size_mb) // (32 * 1024), 1),
-            region_bytes=32 * 1024,
-            op=op,
-        ),
-    ),
-    "ior-mpi-io": (
-        "each rank streams its own 1/P of the file (ASCI Purple)",
-        lambda size_mb, op, nprocs: IorMpiIo(file_size=_mb(size_mb), op=op),
-    ),
-    "noncontig": (
-        "column access of a 2D array via vector datatype (ANL)",
-        lambda size_mb, op, nprocs: Noncontig(
-            elmtcount=256,
-            n_rows=max(_mb(size_mb) // (64 * 1024), 64),
-            op=op,
-        ).with_ncols_hint(max(nprocs, 64)),
-    ),
-    "s3asim": (
-        "fragmented sequence-database search, mixed read/write",
-        lambda size_mb, op, nprocs: S3asim(db_bytes=_mb(size_mb)),
-    ),
-    "btio": (
-        "NAS BT-IO checkpointing; request size shrinks with process count",
-        lambda size_mb, op, nprocs: Btio(
-            total_bytes=_mb(size_mb), n_steps=2, cell_scale=16384, op="W"
-        ),
-    ),
-    "demo": (
-        "the paper's Section-II motivating synthetic (16-segment vector reads)",
-        lambda size_mb, op, nprocs: Demo(file_size=_mb(size_mb), nprocs_hint=nprocs),
-    ),
-    "dependent": (
-        "Table-III adversary: addresses depend on previously read data",
-        lambda size_mb, op, nprocs: DependentReads(file_size=_mb(size_mb)),
-    ),
-    "random": (
-        "seeded random 16 KB blocks per rank (synthetic)",
-        lambda size_mb, op, nprocs: SyntheticPattern(
-            file_size=_mb(size_mb), pattern="random", op=op
-        ),
-    ),
-}
-
-
-def build_workload(name: str, size_mb: int, op: str, nprocs: int) -> Workload:
-    """Construct a named workload scaled to size_mb/op/nprocs."""
-
+    ``to_experiment_spec()`` then builds the cell exactly as the service
+    would for the same submission.
+    """
     try:
-        _, builder = WORKLOADS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown workload {name!r}; see `python -m repro list-workloads`"
-        ) from None
-    return builder(size_mb, op, nprocs)
-
-
-def _cluster_from_args(args) -> ClusterSpec:
-    return paper_spec(
-        n_compute_nodes=args.compute_nodes,
-        n_data_servers=args.data_servers,
-        io_scheduler=args.elevator,
-    )
-
-
-def _dualpar_from_args(args) -> Optional[DualParConfig]:
-    if args.quota_kb is None:
-        return None
-    return DualParConfig(quota_bytes=args.quota_kb * 1024)
+        return ExperimentSubmission(
+            jobs=(
+                JobSubmission(
+                    name=args.workload,
+                    workload=args.workload,
+                    nprocs=args.nprocs,
+                    size_mb=args.size_mb,
+                    op=args.op,
+                    strategy=strategy,
+                ),
+            ),
+            label=strategy,
+            cluster=ClusterSubmission(
+                compute_nodes=args.compute_nodes,
+                data_servers=args.data_servers,
+                io_scheduler=args.elevator,
+            ),
+            quota_kb=args.quota_kb,
+            observe=bool(args.metrics or getattr(args, "trace_out", None)),
+            fault_plan=FaultPlan.load(args.faults) if args.faults else None,
+            guard=GuardConfig() if args.guard else None,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _job_rows(result) -> list[list]:
@@ -156,26 +107,6 @@ def _job_rows(result) -> list[list]:
         ]
         for j in result.jobs
     ]
-
-
-def _faults_from_args(args):
-    """A :class:`~repro.faults.FaultPlan` loaded from ``--faults``, or None."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.load(path)
-
-
-def _guard_from_args(args):
-    """A default :class:`~repro.guard.GuardConfig` when ``--guard`` was
-    given, else None (guard-off runs stay bit-identical)."""
-    if not getattr(args, "guard", False):
-        return None
-    from repro.guard import GuardConfig
-
-    return GuardConfig()
 
 
 def _print_guard_summary(result) -> None:
@@ -209,16 +140,6 @@ def _print_fault_summary(result) -> None:
         print(f"  t={t:10.3f}s  {phase:<7}{kind:<14}target={target}")
     if faults.n_timeouts:
         print(f"  client request timeouts: {faults.n_timeouts}")
-
-
-def _observe_from_args(args):
-    """An :class:`~repro.obs.Observability` when ``--metrics`` or
-    ``--trace-out`` was given, else None (zero-overhead plain run)."""
-    if getattr(args, "metrics", None) or getattr(args, "trace_out", None):
-        from repro.obs import Observability
-
-        return Observability()
-    return None
 
 
 def _export_obs(args, result) -> None:
@@ -260,17 +181,9 @@ def _apply_sanitize(args) -> None:
 
 
 def _run_single(args):
-    """Run the one job ``run``/``report`` describe; return its result."""
+    """Run the one job ``run``/``report`` describe; return its full result."""
     _apply_sanitize(args)
-    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    return run_experiment(
-        [JobSpec(args.workload, args.nprocs, workload, strategy=args.strategy)],
-        cluster_spec=_cluster_from_args(args),
-        dualpar_config=_dualpar_from_args(args),
-        observe=_observe_from_args(args),
-        fault_plan=_faults_from_args(args),
-        guard=_guard_from_args(args),
-    )
+    return run_spec(_submission(args, args.strategy).to_experiment_spec())
 
 
 def cmd_run(args) -> int:
@@ -306,25 +219,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     _apply_sanitize(args)
-    specs = [
-        ExperimentSpec(
-            [
-                JobSpec(
-                    args.workload,
-                    args.nprocs,
-                    build_workload(args.workload, args.size_mb, args.op, args.nprocs),
-                    strategy=strategy,
-                )
-            ],
-            cluster_spec=_cluster_from_args(args),
-            dualpar_config=_dualpar_from_args(args),
-            observe=bool(args.metrics),
-            fault_plan=_faults_from_args(args),
-            guard=_guard_from_args(args),
-            label=strategy,
-        )
-        for strategy in args.strategies
-    ]
+    specs = [_submission(args, s).to_experiment_spec() for s in args.strategies]
     results = run_experiments(specs, jobs=args.jobs, cache=not args.no_cache)
     rows = []
     for strategy, result in zip(args.strategies, results):
@@ -362,34 +257,6 @@ def cmd_report(args) -> int:
     _print_guard_summary(result)
     _export_obs(args, result)
     return 0
-
-
-def cmd_lint(args) -> int:
-    from repro.devtools import simlint
-
-    lint_argv = list(args.paths) or ["src"]
-    if args.format != "text":
-        lint_argv += ["--format", args.format]
-    if args.select:
-        lint_argv += ["--select", args.select]
-    if args.list_rules:
-        lint_argv += ["--list-rules"]
-    if args.changed:
-        lint_argv += ["--changed"]
-    return simlint.main(lint_argv)
-
-
-def cmd_ownership(args) -> int:
-    from repro.devtools import ownership
-
-    own_argv = list(args.paths) or ["src/repro"]
-    if args.format != "text":
-        own_argv += ["--format", args.format]
-    if args.out:
-        own_argv += ["--out", args.out]
-    if args.check:
-        own_argv += ["--check"]
-    return ownership.main(own_argv)
 
 
 def cmd_pdes(args) -> int:
@@ -515,8 +382,8 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            tenant_cap_bytes=args.tenant_cap_mb * 1024 * 1024,
-            queue_cap_bytes=args.queue_cap_mb * 1024 * 1024,
+            tenant_cap_bytes=args.tenant_cap_mb * _MB,
+            queue_cap_bytes=args.queue_cap_mb * _MB,
             max_jobs=args.max_jobs,
             allow_chaos=args.allow_chaos,
         )
@@ -649,17 +516,10 @@ def cmd_list_workloads(_args) -> int:
 
 
 def cmd_list_strategies(_args) -> int:
-    descriptions = {
-        "vanilla": "independent synchronous MPI-IO (Strategy 1)",
-        "collective": "ROMIO-style two-phase collective I/O",
-        "prefetch": "speculative pre-execution prefetching (Strategy 2)",
-        "dualpar": "DualPar, mode chosen opportunistically by EMC",
-        "dualpar-forced": "DualPar pinned in data-driven mode",
-    }
     print(
         format_table(
             ["name", "description"],
-            [[n, descriptions[n]] for n in STRATEGY_NAMES],
+            [[n, STRATEGY_DESCRIPTIONS[n]] for n in STRATEGY_NAMES],
             title="available strategies",
         )
     )
@@ -667,7 +527,9 @@ def cmd_list_strategies(_args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workload", default="mpi-io-test", help="see list-workloads")
+    p.add_argument(
+        "--workload", choices=WORKLOADS, default="mpi-io-test", help="see list-workloads"
+    )
     p.add_argument("--nprocs", type=int, default=64, help="MPI ranks")
     p.add_argument("--size-mb", type=int, default=64, help="data volume (MB)")
     p.add_argument(
@@ -679,11 +541,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--compute-nodes", type=int, default=32)
     p.add_argument("--data-servers", type=int, default=9)
-    p.add_argument(
-        "--elevator",
-        choices=["cfq", "deadline", "noop", "anticipatory"],
-        default="cfq",
-    )
+    p.add_argument("--elevator", choices=SCHEDULERS, default="cfq")
     p.add_argument(
         "--quota-kb", type=int, default=None, help="DualPar per-process cache quota"
     )
@@ -761,48 +619,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the simlint determinism rules (SL001-SL008)"
+    # Listed for --help only: main() hands their arguments to the tool.
+    sub.add_parser(
+        "lint", add_help=False, help="run the simlint determinism rules (SL001-SL008)"
     )
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files/directories (default: src)"
-    )
-    p_lint.add_argument("--format", choices=["text", "json"], default="text")
-    p_lint.add_argument(
-        "--select", default=None, help="comma-separated rule ids to enable"
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
-    p_lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed vs the git merge-base (full tree "
-        "outside a repository)",
-    )
-    p_lint.set_defaults(func=cmd_lint)
-
-    p_own = sub.add_parser(
+    sub.add_parser(
         "ownership",
+        add_help=False,
         help="simown state-ownership report / partition map (see "
         "docs/static_analysis.md)",
     )
-    p_own.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files/directories (default: src/repro)",
-    )
-    p_own.add_argument("--format", choices=["text", "json"], default="text")
-    p_own.add_argument(
-        "--out", default=None, help="write the JSON partition map to this path"
-    )
-    p_own.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on unannotated shared-hazard findings",
-    )
-    p_own.set_defaults(func=cmd_ownership)
 
     p_pdes = sub.add_parser(
         "pdes",
@@ -820,11 +646,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["r", "w", "read", "write"],
         default="r",
     )
-    p_pdes.add_argument(
-        "--elevator",
-        choices=["cfq", "deadline", "noop", "anticipatory"],
-        default="cfq",
-    )
+    p_pdes.add_argument("--elevator", choices=SCHEDULERS, default="cfq")
     p_pdes.add_argument(
         "--workers",
         type=int,
@@ -868,13 +690,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--tenant-cap-mb",
         type=int,
-        default=4096,
+        default=DEFAULT_TENANT_CAP_BYTES // _MB,
         help="per-tenant quota on declared MB queued + running",
     )
     p_srv.add_argument(
         "--queue-cap-mb",
         type=int,
-        default=16384,
+        default=DEFAULT_QUEUE_CAP_BYTES // _MB,
         help="coordinator-wide backpressure cap on declared MB",
     )
     p_srv.add_argument(
@@ -945,8 +767,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
 
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0] in _TOOLS:
+            # Dispatch before parsing: the tool's own parser owns its flags.
+            return importlib.import_module(_TOOLS[argv[0]]).main(argv[1:])
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:  # e.g. `repro ... | head`
         try:

@@ -18,7 +18,7 @@ dirty chunks are written back from their owner nodes and marked clean.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.cache.chunk import ChunkKey, chunk_range
 from repro.mpi.ops import Segment

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 __all__ = ["FAULT_KINDS", "DiskFault", "FaultEvent", "FaultPlan", "RetryPolicy"]
 
@@ -206,6 +206,13 @@ _EVENT_FIELDS = frozenset(f.name for f in fields(FaultEvent))
 _POLICY_FIELDS = frozenset(f.name for f in fields(RetryPolicy))
 
 
+def _reject_unknown(raw: Mapping[str, Any], known: frozenset, what: str) -> None:
+    """Raise ValueError naming the keys of ``raw`` outside ``known``."""
+    unknown = set(raw) - known
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded schedule of fault events plus the client retry policy."""
@@ -228,19 +235,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultPlan":
+        # A misspelt key would otherwise load as a different plan (e.g. a
+        # stray "evnets" as zero events), so every level rejects unknowns.
+        _reject_unknown(d, _PLAN_FIELDS, "FaultPlan")
         events = []
         for raw in d.get("events", ()):
-            unknown = set(raw) - _EVENT_FIELDS
-            if unknown:
-                raise ValueError(f"unknown FaultEvent fields: {sorted(unknown)}")
+            _reject_unknown(raw, _EVENT_FIELDS, "FaultEvent")
             ev = dict(raw)
             if "nodes" in ev:
                 ev["nodes"] = tuple(ev["nodes"])
             events.append(FaultEvent(**ev))
         raw_retry = d.get("retry", {})
-        unknown = set(raw_retry) - _POLICY_FIELDS
-        if unknown:
-            raise ValueError(f"unknown RetryPolicy fields: {sorted(unknown)}")
+        _reject_unknown(raw_retry, _POLICY_FIELDS, "RetryPolicy")
         return cls(
             seed=int(d.get("seed", 0)),
             events=tuple(events),
@@ -263,3 +269,6 @@ class FaultPlan:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+_PLAN_FIELDS = frozenset(f.name for f in fields(FaultPlan))

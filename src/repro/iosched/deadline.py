@@ -44,35 +44,12 @@ class DeadlineScheduler(IoScheduler):
         self._starved = 0
 
     def add(self, req: BlockRequest, now: float) -> None:
-        q = self._sorted[req.op]
-        n_before = len(q)
-        merges_before = q.n_merges
-        q.add(req)
-        if q.n_merges == merges_before and len(q) == n_before + 1:
+        unit = self._sorted[req.op].add(req)
+        if unit is not None:
             # Genuinely new unit: give it a deadline entry.
-            unit = self._unit_containing(q, req.lbn)
             expire = self.read_expire_s if req.op == "R" else self.write_expire_s
             self._fifo[req.op].append((now + expire, unit))
         self.n_merges = self._sorted["R"].n_merges + self._sorted["W"].n_merges
-
-    @staticmethod
-    def _unit_containing(q: SortedUnitQueue, lbn: int) -> IoUnit:
-        import bisect
-
-        idx = bisect.bisect_right(q._keys, lbn) - 1
-        return q.units[idx]
-
-    def _remove_sorted(self, op: str, unit: IoUnit) -> None:
-        q = self._sorted[op]
-        import bisect
-
-        idx = bisect.bisect_left(q._keys, unit.lbn)
-        while idx < len(q.units) and q.units[idx] is not unit:
-            idx += 1
-        if idx < len(q.units):
-            del q.units[idx]
-            del q._keys[idx]
-        unit.queued = False
 
     def decide(self, now: float, head_lbn: int) -> SchedDecision:
         nr, nw = len(self._sorted["R"]), len(self._sorted["W"])
@@ -104,7 +81,7 @@ class DeadlineScheduler(IoScheduler):
         self._batch_left = self.fifo_batch - 1
         if fifo and fifo[0][0] <= now:
             _deadline, unit = fifo.popleft()
-            self._remove_sorted(op, unit)
+            self._sorted[op].remove(unit)
             return SchedDecision.serve(unit)
 
         return SchedDecision.serve(self._sorted[op].pop_next(head_lbn))

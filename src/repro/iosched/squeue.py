@@ -34,24 +34,38 @@ class SortedUnitQueue:
     def units(self) -> list[IoUnit]:
         return self._units
 
-    def add(self, req: BlockRequest) -> None:
-        """Insert, back/front-merging into a neighbour when contiguous."""
+    def add(self, req: BlockRequest) -> Optional[IoUnit]:
+        """Insert, back/front-merging into a neighbour when contiguous.
+
+        Returns the new unit, or None when ``req`` merged into a queued one.
+        """
         idx = bisect.bisect_left(self._keys, req.lbn)
         if idx > 0 and self._units[idx - 1].can_back_merge(req, self.max_sectors):
             self._units[idx - 1].back_merge(req)
             self.n_merges += 1
             self._coalesce_at(idx - 1)
-            return
+            return None
         if idx < len(self._units) and self._units[idx].can_front_merge(req, self.max_sectors):
             unit = self._units[idx]
             unit.front_merge(req)
             self._keys[idx] = unit.lbn
             self.n_merges += 1
             self._coalesce_at(idx)
-            return
+            return None
         unit = IoUnit.from_request(req)
         self._units.insert(idx, unit)
         self._keys.insert(idx, unit.lbn)
+        return unit
+
+    def remove(self, unit: IoUnit) -> None:
+        """Take ``unit`` out of the queue (a no-op if it is not queued)."""
+        idx = bisect.bisect_left(self._keys, unit.lbn)
+        while idx < len(self._units) and self._units[idx] is not unit:
+            idx += 1
+        if idx < len(self._units):
+            del self._units[idx]
+            del self._keys[idx]
+        unit.queued = False
 
     def _coalesce_at(self, idx: int) -> None:
         """After a merge grew unit ``idx``, it may now abut its successor."""

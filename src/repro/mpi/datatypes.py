@@ -18,7 +18,6 @@ physical file segments -- what ``ADIOI_*_ReadStrided`` actually computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.mpi.ops import Segment
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.mpi.ops import IoOp, Segment
+from repro.mpi.ops import IoOp
 from repro.mpiio.datasieve import coalesce_segments
 from repro.pfs.filesystem import PfsFile
 

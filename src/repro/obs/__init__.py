@@ -26,7 +26,7 @@ so an observed run is bit-identical to a plain one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.obs.export import (
     chrome_trace_events,

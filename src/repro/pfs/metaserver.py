@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.net.ethernet import Network
-from repro.pfs.filesystem import FileSystem, PfsFile
+from repro.pfs.filesystem import FileSystem
 from repro.sim import Simulator
 
 __all__ = ["MetadataServer"]

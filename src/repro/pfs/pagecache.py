@@ -24,8 +24,8 @@ pages; at our granularity FIFO-over-extents is equivalent in effect).
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 __all__ = ["ServerPageCache"]
 

@@ -10,6 +10,8 @@ result.  This module provides:
 - :class:`SlimExperimentResult` -- the picklable subset of
   :class:`~repro.runner.experiment.ExperimentResult` the benches consume
   (per-job measurements plus a few cluster/DualPar summaries);
+- :func:`run_spec` -- evaluate one cell and keep the full result (what
+  ``repro run``/``report`` print from);
 - :func:`run_experiments` -- evaluate many cells, fanning out over a
   :class:`~repro.runner.pool.WorkerPool` and memoising each cell as a
   record of the :class:`~repro.runner.store.ResultCatalog` keyed by a
@@ -51,6 +53,7 @@ __all__ = [
     "WorkerCellError",
     "experiment_fingerprint",
     "run_experiments",
+    "run_spec",
 ]
 
 
@@ -242,14 +245,14 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
 # -- execution ----------------------------------------------------------
 
 
-def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
-    """Worker entry point: evaluate one cell from scratch."""
+def run_spec(spec: ExperimentSpec) -> ExperimentResult:
+    """Evaluate one cell from scratch; return the full, live result."""
     observe = None
     if spec.observe:
         from repro.obs import Observability
 
         observe = Observability()
-    res = run_experiment(
+    return run_experiment(
         list(spec.specs),
         cluster_spec=spec.cluster_spec,
         dualpar_config=spec.dualpar_config,
@@ -259,7 +262,11 @@ def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
         fault_plan=spec.fault_plan,
         guard=spec.guard,
     )
-    return SlimExperimentResult.from_full(res)
+
+
+def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
+    """Worker entry point: evaluate one cell, keep its storable view."""
+    return SlimExperimentResult.from_full(run_spec(spec))
 
 
 def _default_jobs() -> int:

@@ -23,9 +23,18 @@ from repro.mpiio.prefetch import PreexecPrefetchEngine
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import DualParSystem
 
-__all__ = ["STRATEGY_NAMES", "resolve_strategy"]
+__all__ = ["STRATEGY_DESCRIPTIONS", "STRATEGY_NAMES", "resolve_strategy"]
 
-STRATEGY_NAMES = ("vanilla", "collective", "prefetch", "dualpar", "dualpar-forced")
+#: name -> one-line description, in display order.
+STRATEGY_DESCRIPTIONS = {
+    "vanilla": "independent synchronous MPI-IO (Strategy 1)",
+    "collective": "ROMIO-style two-phase collective I/O",
+    "prefetch": "speculative pre-execution prefetching (Strategy 2)",
+    "dualpar": "DualPar, mode chosen opportunistically by EMC",
+    "dualpar-forced": "DualPar pinned in data-driven mode",
+}
+
+STRATEGY_NAMES = tuple(STRATEGY_DESCRIPTIONS)
 
 
 def resolve_strategy(

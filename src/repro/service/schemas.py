@@ -7,13 +7,14 @@ rather than as live Python objects, so every submission round-trips
 through JSON, rejects unknown fields (like :class:`repro.faults.FaultPlan`
 does), and fingerprints deterministically.
 
-``to_experiment_spec()`` lowers a submission onto the existing harness:
-the same workload builders the CLI uses, :func:`repro.cluster.paper_spec`,
-and :class:`repro.runner.ExperimentSpec` -- so a catalogued service run
-is, by construction, the same simulation a direct
-:func:`repro.runner.run_experiment` call would perform, and the service
-reuses :func:`repro.runner.parallel.experiment_fingerprint` (code version
-included) as its content address.
+``to_experiment_spec()`` is the one place a cell is built from knobs:
+it lowers a submission onto :func:`repro.workloads.build_workload`,
+:func:`repro.cluster.paper_spec` and :class:`repro.runner.ExperimentSpec`.
+``repro run``/``report``/``compare`` build submissions from their flags
+too, so a catalogued service run is, by construction, the same
+simulation as the CLI cell with the same knobs, and both share the
+content address :func:`repro.runner.parallel.experiment_fingerprint`
+(code version included).
 
 Versioning: ``schema_version`` is required on the wire; a submission
 carrying any other version is rejected outright (a coordinator must
@@ -27,8 +28,10 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping, Optional
 
 from repro.faults import FaultPlan
+from repro.faults.plan import _reject_unknown
 from repro.guard import GuardConfig
-from repro.workloads.base import normalize_op
+from repro.iosched import SCHEDULERS
+from repro.workloads import WORKLOADS, build_workload, normalize_op
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,14 +44,6 @@ __all__ = [
 
 #: The one submission shape this coordinator understands.
 SCHEMA_VERSION = 1
-
-_IO_SCHEDULERS = ("cfq", "deadline", "noop", "anticipatory")
-
-
-def _reject_unknown(raw: Mapping[str, Any], known: frozenset, what: str) -> None:
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def guard_to_dict(guard: GuardConfig) -> dict:
@@ -98,10 +93,7 @@ class JobSubmission:
         object.__setattr__(self, "op", normalize_op(self.op))
         # Validate the workload name eagerly: a queued submission must
         # never explode in a worker over a typo the coordinator could
-        # have rejected at submit time.  (Late import: repro.cli owns
-        # the builder table and itself imports the runner.)
-        from repro.cli import WORKLOADS
-
+        # have rejected at submit time.
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r} "
@@ -121,9 +113,9 @@ class ClusterSubmission:
     def __post_init__(self) -> None:
         if self.compute_nodes <= 0 or self.data_servers <= 0:
             raise ValueError("compute_nodes/data_servers must be positive")
-        if self.io_scheduler not in _IO_SCHEDULERS:
+        if self.io_scheduler not in SCHEDULERS:
             raise ValueError(
-                f"unknown io_scheduler {self.io_scheduler!r} (know {_IO_SCHEDULERS})"
+                f"unknown io_scheduler {self.io_scheduler!r} (know {sorted(SCHEDULERS)})"
             )
         if self.stripe_unit <= 0:
             raise ValueError("stripe_unit must be positive")
@@ -138,7 +130,8 @@ class ExperimentSubmission:
     tenant: str = "default"
     label: str = ""
     cluster: ClusterSubmission = field(default_factory=ClusterSubmission)
-    #: DualPar per-process cache quota (KB) -> DualParConfig, or None.
+    #: DualPar per-process cache quota (KB; 0 = no cache, Fig 8's left
+    #: point) -> DualParConfig, or None for the default config.
     quota_kb: Optional[int] = None
     limit_s: float = 1e6
     #: Attach the observability layer; the catalog record then carries
@@ -159,8 +152,8 @@ class ExperimentSubmission:
             raise ValueError("a submission needs at least one job")
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
-        if self.quota_kb is not None and self.quota_kb <= 0:
-            raise ValueError("quota_kb must be positive")
+        if self.quota_kb is not None and self.quota_kb < 0:
+            raise ValueError("quota_kb must be >= 0")
         if self.limit_s <= 0:
             raise ValueError("limit_s must be positive")
 
@@ -196,10 +189,6 @@ class ExperimentSubmission:
         raw_cluster = d.get("cluster") or {}
         _reject_unknown(raw_cluster, _CLUSTER_FIELDS, "ClusterSubmission")
         raw_plan = d.get("fault_plan")
-        if raw_plan:
-            # FaultPlan.from_dict polices event/retry fields but tolerates
-            # stray top-level keys; the service wire schema does not.
-            _reject_unknown(raw_plan, _PLAN_FIELDS, "FaultPlan")
         raw_guard = d.get("guard")
         return cls(
             schema_version=d["schema_version"],
@@ -238,7 +227,6 @@ class ExperimentSubmission:
         """Lower to the :class:`repro.runner.ExperimentSpec` this
         submission denotes -- the exact cell a direct
         ``run_experiment`` call with the same knobs would execute."""
-        from repro.cli import build_workload
         from repro.cluster import paper_spec
         from repro.core.config import DualParConfig
         from repro.runner import ExperimentSpec, JobSpec
@@ -282,6 +270,5 @@ class ExperimentSubmission:
 
 
 _SUBMISSION_FIELDS = frozenset(f.name for f in fields(ExperimentSubmission))
-_PLAN_FIELDS = frozenset(f.name for f in fields(FaultPlan))
 _JOB_FIELDS = frozenset(f.name for f in fields(JobSubmission))
 _CLUSTER_FIELDS = frozenset(f.name for f in fields(ClusterSubmission))

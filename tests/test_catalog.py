@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DualParConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.guard import GuardConfig
 from repro.runner.parallel import _run_spec, experiment_fingerprint
@@ -118,7 +119,14 @@ def test_submission_validation_rejects_bad_values():
     with pytest.raises(ValueError, match="tenant"):
         _submission(tenant="")
     with pytest.raises(ValueError, match="quota_kb"):
-        _submission(quota_kb=0)
+        _submission(quota_kb=-1)
+
+
+def test_zero_quota_roundtrips_and_lowers_to_a_zero_byte_cache():
+    # Fig 8's 0 KB point: the CLI runs it, so the schema must accept it.
+    sub = _submission(quota_kb=0)
+    assert ExperimentSubmission.from_json(sub.to_json()) == sub
+    assert sub.to_experiment_spec().dualpar_config == DualParConfig(quota_bytes=0)
 
 
 def test_op_aliases_normalise_to_one_canonical_form():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cli import WORKLOADS, build_workload, main, make_parser
+import repro.cli
+from repro.cli import main, make_parser
+from repro.guard import GuardConfig
+from repro.runner.parallel import experiment_fingerprint
+from repro.service import ClusterSubmission, ExperimentSubmission, JobSubmission
+from repro.workloads import WORKLOADS, build_workload
 
 
 def test_list_workloads(capsys):
@@ -25,8 +30,75 @@ def test_build_workload_all_names():
 
 
 def test_build_workload_unknown():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="unknown workload"):
         build_workload("warp-drive", 8, "R", 8)
+
+
+def test_unknown_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "warp-drive"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'warp-drive'" in capsys.readouterr().err
+
+
+def test_invalid_cell_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "random", "--nprocs", "0"])
+    assert exc.value.code == 2
+    assert "nprocs must be positive" in capsys.readouterr().err
+
+
+CELL_FLAGS = [
+    "--workload", "noncontig",
+    "--nprocs", "4",
+    "--size-mb", "4",
+    "--op", "read",
+    "--compute-nodes", "2",
+    "--data-servers", "3",
+    "--elevator", "deadline",
+    "--quota-kb", "0",
+    "--guard",
+]
+
+
+def _expected_submission(strategy: str) -> ExperimentSubmission:
+    return ExperimentSubmission(
+        jobs=(JobSubmission("noncontig", "noncontig", nprocs=4, size_mb=4, op="R",
+                            strategy=strategy),),
+        cluster=ClusterSubmission(compute_nodes=2, data_servers=3, io_scheduler="deadline"),
+        quota_kb=0,
+        guard=GuardConfig(),
+    )
+
+
+def test_run_cell_is_the_submission_cell(monkeypatch):
+    """`repro run` executes exactly the cell the same submission lowers to."""
+    ran = []
+
+    def fake_run_spec(spec):
+        ran.append(spec)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(repro.cli, "run_spec", fake_run_spec)
+    with pytest.raises(SystemExit):
+        main(["run", *CELL_FLAGS, "--strategy", "prefetch"])
+    assert experiment_fingerprint(ran[0]) == _expected_submission("prefetch").fingerprint()
+
+
+def test_compare_cells_are_the_submission_cells(monkeypatch):
+    ran = []
+
+    def fake_run_experiments(specs, **_kw):
+        ran.extend(specs)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(repro.cli, "run_experiments", fake_run_experiments)
+    with pytest.raises(SystemExit):
+        main(["compare", *CELL_FLAGS, "--strategies", "vanilla", "dualpar"])
+    assert [experiment_fingerprint(s) for s in ran] == [
+        _expected_submission(s).fingerprint() for s in ("vanilla", "dualpar")
+    ]
+    assert [s.label for s in ran] == ["vanilla", "dualpar"]
 
 
 def test_run_small(capsys):

@@ -1,14 +1,12 @@
 """Unit tests for two-phase collective I/O internals."""
 
-import pytest
-
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.mpi.ops import Segment
 from repro.mpi.runtime import MpiRuntime
 from repro.mpiio.collective import CollectiveEngine, _clip
 from repro.runner import JobSpec, run_experiment
-from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
+from repro.workloads import MpiIoTest, SyntheticPattern
 
 
 def small_spec(**kw):

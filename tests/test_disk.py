@@ -1,7 +1,5 @@
 """Unit & property tests for the disk model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

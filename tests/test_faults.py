@@ -1,6 +1,7 @@
 """Unit tests for the deterministic fault-injection layer (repro.faults)."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,10 @@ from repro.faults import (
     RetryPolicy,
     ServerHealth,
 )
-from repro.net.ethernet import Network, NetworkParams
+from repro.net.ethernet import Network
 from repro.sim import SimulationError, Simulator
+
+EXAMPLE_PLANS = Path(__file__).resolve().parent.parent / "examples" / "faultplans"
 
 
 def small_spec(**kw):
@@ -101,6 +104,16 @@ def test_plan_from_dict_rejects_unknown_fields():
         )
     with pytest.raises(ValueError, match="unknown RetryPolicy"):
         FaultPlan.from_dict({"retry": {"jitterbug": 1}})
+    # A misspelt top-level key must not load as an empty plan.
+    with pytest.raises(ValueError, match=r"unknown FaultPlan fields: \['evnets'\]"):
+        FaultPlan.from_dict(
+            {"seed": 3, "evnets": [{"kind": "server_crash", "at_s": 0.0}]}
+        )
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLE_PLANS.glob("*.json")))
+def test_example_plans_load(path):
+    assert FaultPlan.load(path).events
 
 
 # --------------------------------------------------------------- RetryPolicy

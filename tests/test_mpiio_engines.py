@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.mpi.ops import Segment
-from repro.mpi.runtime import MpiRuntime
 from repro.mpiio.datasieve import coalesce_segments, coverage_stats
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern

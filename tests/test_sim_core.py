@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from repro.sim import (
-    Event,
     Interrupt,
     SimulationError,
     Simulator,
